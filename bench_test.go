@@ -428,8 +428,7 @@ func BenchmarkVisibleOpThreads(b *testing.B) {
 func BenchmarkRecordStreaming(b *testing.B) {
 	b.Run("hotpath", func(b *testing.B) {
 		path := filepath.Join(b.TempDir(), "bench.demo2")
-		r, err := demo.NewStreamingRecorder(path, demo.StrategyQueue, 1, 2,
-			demo.StreamOptions{FlushInterval: 2 * time.Millisecond})
+		r, err := demo.NewFileRecorder(path, demo.StrategyQueue, 1, 2, 2*time.Millisecond)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -448,7 +447,7 @@ func BenchmarkRecordStreaming(b *testing.B) {
 			r.NoteSchedule(int32(i%4), uint64(warm+i+1))
 		}
 		b.StopTimer()
-		if err := r.Close(uint64(warm + b.N)); err != nil {
+		if _, err := r.Close(uint64(warm + b.N)); err != nil {
 			b.Fatal(err)
 		}
 	})

@@ -15,20 +15,22 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"regexp"
 	"strconv"
+	"strings"
 )
 
 // Result is one benchmark line. BytesPerOp/AllocsPerOp are present only
 // when the run used -benchmem; they are pointers so that a genuine
 // measured zero (the detector release path's target) survives JSON
-// round-tripping distinct from "not measured".
+// round-tripping distinct from "not measured". Metrics holds every
+// "value unit" pair of the line, custom b.ReportMetric units included.
 type Result struct {
-	Name        string   `json:"name"`
-	Iters       int64    `json:"iterations"`
-	NsPerOp     float64  `json:"ns_per_op"`
-	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
-	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
+	Name        string             `json:"name"`
+	Iters       int64              `json:"iterations"`
+	NsPerOp     float64            `json:"ns_per_op"`
+	BytesPerOp  *float64           `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *float64           `json:"allocs_per_op,omitempty"`
+	Metrics     map[string]float64 `json:"metrics"`
 }
 
 // Point is one trajectory entry: every benchmark of one run.
@@ -38,39 +40,51 @@ type Point struct {
 	Results []Result `json:"results"`
 }
 
-var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([0-9.]+) ns/op` +
-	`(?:\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
+// parseLine parses one result line: the benchmark name, the iteration
+// count, then "value unit" pairs in any order. ok is false for lines that
+// are not results (headers, logs, a name printed alone before its result).
+func parseLine(line string) (r Result, ok bool, err error) {
+	f := strings.Fields(line)
+	if len(f) < 4 || len(f)%2 != 0 || !strings.HasPrefix(f[0], "Benchmark") {
+		return Result{}, false, nil
+	}
+	iters, perr := strconv.ParseInt(f[1], 10, 64)
+	if perr != nil {
+		return Result{}, false, nil
+	}
+	r = Result{Name: f[0], Iters: iters, Metrics: make(map[string]float64)}
+	for i := 2; i < len(f); i += 2 {
+		v, perr := strconv.ParseFloat(f[i], 64)
+		if perr != nil {
+			return Result{}, false, fmt.Errorf("benchjson: bad %s value in %q: %v", f[i+1], line, perr)
+		}
+		r.Metrics[f[i+1]] = v
+	}
+	ns, ok := r.Metrics["ns/op"]
+	if !ok {
+		return Result{}, false, nil
+	}
+	r.NsPerOp = ns
+	if v, ok := r.Metrics["B/op"]; ok {
+		r.BytesPerOp = &v
+	}
+	if v, ok := r.Metrics["allocs/op"]; ok {
+		r.AllocsPerOp = &v
+	}
+	return r, true, nil
+}
 
 func run(in io.Reader, out io.Writer, date, commit string) error {
 	p := Point{Date: date, Commit: commit}
 	sc := bufio.NewScanner(in)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil {
-			continue
-		}
-		iters, err := strconv.ParseInt(m[2], 10, 64)
+		r, ok, err := parseLine(sc.Text())
 		if err != nil {
-			return fmt.Errorf("benchjson: bad iteration count in %q: %v", sc.Text(), err)
+			return err
 		}
-		ns, err := strconv.ParseFloat(m[3], 64)
-		if err != nil {
-			return fmt.Errorf("benchjson: bad ns/op in %q: %v", sc.Text(), err)
+		if ok {
+			p.Results = append(p.Results, r)
 		}
-		r := Result{Name: m[1], Iters: iters, NsPerOp: ns}
-		if m[4] != "" {
-			bytesOp, err := strconv.ParseFloat(m[4], 64)
-			if err != nil {
-				return fmt.Errorf("benchjson: bad B/op in %q: %v", sc.Text(), err)
-			}
-			allocsOp, err := strconv.ParseFloat(m[5], 64)
-			if err != nil {
-				return fmt.Errorf("benchjson: bad allocs/op in %q: %v", sc.Text(), err)
-			}
-			r.BytesPerOp = &bytesOp
-			r.AllocsPerOp = &allocsOp
-		}
-		p.Results = append(p.Results, r)
 	}
 	if err := sc.Err(); err != nil {
 		return err

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -15,6 +16,8 @@ BenchmarkVisibleOpThreads/threads-2         	16940679	        81.36 ns/op
 BenchmarkVisibleOpThreads/threads-128       	17494032	        67.65 ns/op
 BenchmarkAtomicRelease/threads=128         	 4865202	        57.00 ns/op	       0 B/op	       0 allocs/op
 BenchmarkMutexHandoff/threads=128          	  657889	       317.4 ns/op	    1023 B/op	       1 allocs/op
+BenchmarkExploreNeedle/rnd-2               	      12	  95000000 ns/op	        41.00 first_failure_trial	     2.500 races/run	   41200 B/op	     310 allocs/op
+BenchmarkExploreNeedle/rnd-2
 PASS
 ok  	repro	8.532s
 `
@@ -31,11 +34,12 @@ func TestRunParsesBenchOutput(t *testing.T) {
 	if p.Date != "2026-08-06" || p.Commit != "abc123" {
 		t.Errorf("stamp = %q/%q", p.Date, p.Commit)
 	}
-	if len(p.Results) != 4 {
-		t.Fatalf("parsed %d results, want 4: %+v", len(p.Results), p.Results)
+	if len(p.Results) != 5 {
+		t.Fatalf("parsed %d results, want 5: %+v", len(p.Results), p.Results)
 	}
-	want := Result{Name: "BenchmarkVisibleOpThreads/threads-2", Iters: 16940679, NsPerOp: 81.36}
-	if p.Results[0] != want {
+	want := Result{Name: "BenchmarkVisibleOpThreads/threads-2", Iters: 16940679, NsPerOp: 81.36,
+		Metrics: map[string]float64{"ns/op": 81.36}}
+	if !reflect.DeepEqual(p.Results[0], want) {
 		t.Errorf("first result = %+v, want %+v", p.Results[0], want)
 	}
 	if r := p.Results[0]; r.BytesPerOp != nil || r.AllocsPerOp != nil {
@@ -50,6 +54,13 @@ func TestRunParsesBenchOutput(t *testing.T) {
 	if r := p.Results[3]; r.BytesPerOp == nil || *r.BytesPerOp != 1023 ||
 		r.AllocsPerOp == nil || *r.AllocsPerOp != 1 {
 		t.Errorf("benchmem result = %+v, want 1023 B/op and 1 allocs/op", r)
+	}
+	// Custom metrics ahead of B/op must neither be dropped nor hide the
+	// memory stats behind them.
+	if r := p.Results[4]; r.Metrics["first_failure_trial"] != 41 || r.Metrics["races/run"] != 2.5 ||
+		r.BytesPerOp == nil || *r.BytesPerOp != 41200 ||
+		r.AllocsPerOp == nil || *r.AllocsPerOp != 310 {
+		t.Errorf("custom-metric result = %+v, want first_failure_trial, races/run, B/op and allocs/op", r)
 	}
 	if !strings.Contains(out.String(), `"bytes_per_op": 0`) {
 		t.Errorf("JSON omitted the measured-zero bytes_per_op:\n%s", out.String())

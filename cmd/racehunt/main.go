@@ -205,7 +205,7 @@ func run(args []string, out, errOut io.Writer) int {
 			return 1
 		}
 		d := res.Failures[0].Minimized
-		if err := demo.WriteFile(*out1, d); err != nil {
+		if err := d.WriteFile(*out1); err != nil {
 			fmt.Fprintln(errOut, err)
 			return 1
 		}

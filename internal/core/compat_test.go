@@ -173,7 +173,7 @@ func TestRecordPreFastTrackDemo(t *testing.T) {
 	if err := os.MkdirAll("testdata", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := demo.WriteFile(preFastTrackDemoFile, rep.Demo); err != nil {
+	if err := rep.Demo.WriteFile(preFastTrackDemoFile); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(preFastTrackOutputFile, rep.Output, 0o644); err != nil {

@@ -29,7 +29,7 @@ type Options struct {
 	Record bool
 	// RecordPath, when set (requires Record), streams the recording to an
 	// append-only v2 container at this path as the run executes, instead of
-	// accumulating it in memory for one final write. The recording of a run
+	// encoding it into memory when the run ends. The recording of a run
 	// that crashes or is killed survives as a replayable prefix, recovered
 	// with demo.Recover. The finished demo is read back into Report.Demo;
 	// Report.DemoPath carries the path.

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -67,6 +70,87 @@ func TestStreamingRecordReplaysExactly(t *testing.T) {
 		}
 		if rep.RaceCount() != rec.RaceCount() {
 			t.Errorf("seed %d: races %d != %d", seed, rep.RaceCount(), rec.RaceCount())
+		}
+	}
+}
+
+// sinkProgram runs three workers that exchange data through a pipe (the
+// recorded syscalls) under a mutex, while main takes a signal and prints.
+// Only main prints: output from threads racing in one parallel region is
+// hashed in physical arrival order (see the soft-desync item in
+// ROADMAP.md), which the property tests already exercise.
+func sinkProgram(rt *Runtime) func(*Thread) {
+	return func(main *Thread) {
+		main.Signal(10, func(h *Thread, sig int32) { h.Printf("sig %d\n", sig) })
+		mu := rt.NewMutex("s.mu")
+		sum := NewVar(rt, "s.sum", 0)
+		pr, pw := main.Pipe()
+		var hs []*Handle
+		for w := 0; w < 3; w++ {
+			hs = append(hs, main.Spawn(fmt.Sprintf("s%d", w), func(t *Thread) {
+				for i := 0; i < 20; i++ {
+					t.Write(pw, []byte{byte(w), byte(i)})
+					if data, errno := t.Read(pr, 2); errno == 0 && len(data) == 2 {
+						mu.Lock(t)
+						sum.Update(t, func(v int) int { return v + int(data[0])*100 + int(data[1]) })
+						mu.Unlock(t)
+					}
+					t.Yield()
+				}
+			}))
+		}
+		main.Raise(10)
+		for _, h := range hs {
+			main.Join(h)
+		}
+		main.Printf("sum=%d\n", sum.Read(main))
+	}
+}
+
+// TestFileAndMemorySinksAgree: the same fixed-seed run recorded into memory
+// and into a file yields one Demo — deeply equal, with byte-identical v1
+// encodings — and both strict-replay, under every strategy. Two runs
+// only record the same execution if nothing physical decides it: the
+// wall-clock liveness reschedule is off, and the queue strategy (which
+// follows physical arrival order) gets a spawn delay long enough that
+// each child runs until it settles before its parent continues.
+func TestFileAndMemorySinksAgree(t *testing.T) {
+	strategies := []demo.Strategy{demo.StrategyRandom, demo.StrategyQueue, demo.StrategyPCT, demo.StrategyDelay}
+	for _, strat := range strategies {
+		record := func(path string) *Report {
+			opts := Options{Strategy: strat, Seed1: 5, Seed2: 6, Record: true, RecordPath: path,
+				RescheduleQuantum: -1, SpawnDelay: time.Minute}
+			if path != "" {
+				opts.RecordFlushInterval = time.Millisecond
+			}
+			rt := newTestRuntime(t, opts)
+			rep, err := rt.Run(sinkProgram(rt))
+			if err != nil {
+				t.Fatalf("%v record (path %q): %v", strat, path, err)
+			}
+			return rep
+		}
+		mem := record("")
+		file := record(filepath.Join(t.TempDir(), "run.demo2"))
+		if len(mem.Demo.Syscalls) == 0 || len(mem.Demo.Signals) == 0 || len(mem.Output) == 0 {
+			t.Fatalf("%v: recording lacks syscalls, signals or output: %+v", strat, mem.Demo)
+		}
+		if !reflect.DeepEqual(mem.Demo, file.Demo) {
+			t.Fatalf("%v: memory and file demos differ:\nmemory %+v\nfile   %+v", strat, mem.Demo, file.Demo)
+		}
+		if !bytes.Equal(mem.Demo.Encode(), file.Demo.Encode()) {
+			t.Fatalf("%v: v1 encodings differ", strat)
+		}
+		for _, rec := range []*Report{mem, file} {
+			rt := newTestRuntime(t, Options{Strategy: strat, Replay: rec.Demo})
+			rep, err := rt.Run(sinkProgram(rt))
+			if err != nil {
+				t.Fatalf("%v replay (path %q): %v", strat, rec.DemoPath, err)
+			}
+			if rep.SoftDesync || !bytes.Equal(rep.Output, rec.Output) || rep.Ticks != rec.Ticks {
+				t.Errorf("%v replay (path %q) diverged (soft=%v ticks %d/%d)",
+					strat, rec.DemoPath, rep.SoftDesync, rep.Ticks, rec.Ticks)
+			}
 		}
 	}
 }

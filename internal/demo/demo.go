@@ -455,13 +455,6 @@ func (d *Demo) WriteFile(path string) error {
 	return atomicfile.WriteFile(path, d.Encode(), 0o644)
 }
 
-// WriteFile serialises d to path. It is the package-level spelling of
-// (*Demo).WriteFile, mirroring ReadFile so drivers read and write demos
-// without touching Encode/Decode or the os package.
-func WriteFile(path string, d *Demo) error {
-	return d.WriteFile(path)
-}
-
 // ReadFile loads a demo from path, accepting both the v1 single-blob form
 // and the v2 streamed container (which must be complete; use Recover for
 // files a crash tore).

@@ -130,7 +130,7 @@ func TestRecorderQueueDeltas(t *testing.T) {
 	r.NoteSchedule(0, 2)
 	r.NoteSchedule(1, 3)
 	r.NoteSchedule(0, 4)
-	d := r.Finish(4)
+	d := mustClose(r, 4)
 	if d.Queue.FirstTick[0] != 1 || d.Queue.FirstTick[1] != 3 {
 		t.Fatalf("first ticks: %v", d.Queue.FirstTick)
 	}
@@ -146,7 +146,7 @@ func TestReplayerScheduleReconstruction(t *testing.T) {
 	for i, tid := range seq {
 		r.NoteSchedule(tid, uint64(i+1))
 	}
-	d := r.Finish(uint64(len(seq)))
+	d := mustClose(r, uint64(len(seq)))
 	rep, err := NewReplayer(d, ReplayStrict)
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +170,7 @@ func TestReplayerScheduleRoundTripProperty(t *testing.T) {
 			seq[i] = int32(b) % n
 			r.NoteSchedule(seq[i], uint64(i+1))
 		}
-		d := r.Finish(uint64(len(seq)))
+		d := mustClose(r, uint64(len(seq)))
 		rep, err := NewReplayer(d, ReplayStrict)
 		if err != nil {
 			return false
@@ -268,7 +268,7 @@ func TestReplayerLeftovers(t *testing.T) {
 func TestSoftDesyncDetection(t *testing.T) {
 	r := NewRecorder(StrategyRandom, 1, 2)
 	r.MixOutput([]byte("hello"))
-	d := r.Finish(5)
+	d := mustClose(r, 5)
 	rep, _ := NewReplayer(d, ReplayStrict)
 	rep.MixOutput([]byte("hello"))
 	if rep.SoftDesynced() {

@@ -69,7 +69,7 @@ func FuzzRecoverStream(f *testing.F) {
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "seed.demo2")
-	r, err := NewStreamingRecorder(path, StrategyQueue, 3, 4, StreamOptions{FlushInterval: time.Hour})
+	r, err := NewFileRecorder(path, StrategyQueue, 3, 4, time.Hour)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func FuzzRecoverStream(f *testing.F) {
 			}
 		}
 	}
-	if err := r.Close(40); err != nil {
+	if _, err := r.Close(40); err != nil {
 		f.Fatal(err)
 	}
 	stream, err := os.ReadFile(path)
@@ -180,7 +180,7 @@ func FuzzRoundTripThroughReplayer(f *testing.F) {
 		for i, b := range schedule {
 			r.NoteSchedule(int32(b%4), uint64(i+1))
 		}
-		d := r.Finish(uint64(len(schedule)))
+		d := mustClose(r, uint64(len(schedule)))
 		enc := d.Encode()
 		d2, err := Decode(enc)
 		if err != nil {

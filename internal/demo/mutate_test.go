@@ -34,7 +34,7 @@ func randomRecordedDemo(rng *prng.Source) *Demo {
 		}
 		r.MixOutput([]byte{byte(tick)})
 	}
-	return r.Finish(final)
+	return mustClose(r, final)
 }
 
 // TestPropertyOperatorsValidOrReject: over randomized recorded demos,

@@ -1,6 +1,7 @@
 package demo
 
 import (
+	"os"
 	"sync"
 )
 
@@ -14,11 +15,12 @@ import (
 // "never scheduled again") so that a thread scheduled many times in
 // succession yields a run of 1s, which the RLE coder collapses.
 //
-// A Recorder built with NewStreamingRecorder additionally spools every
-// stream to an append-only v2 container on disk as the run executes (see
-// stream.go); the in-memory slices then hold only the window not yet
-// flushed, so arbitrarily long recordings run in bounded memory and the
-// recording of a crashing run survives the crash.
+// Every Recorder writes the v2 container (stream.go) into a sink: a byte
+// buffer for in-memory recording (NewRecorder), or an append-only file
+// drained by a background flusher (NewFileRecorder). The in-memory
+// slices hold only the window not yet flushed, so a file recording runs
+// in bounded memory and survives a crash. Close writes the final batch
+// and returns the strict decode of everything written.
 type Recorder struct {
 	mu       sync.Mutex
 	strategy Strategy
@@ -28,12 +30,12 @@ type Recorder struct {
 	// Queue-stream accumulation state, all indexed densely: TIDs are
 	// assigned densely from 0 and NoteSchedule runs once per tick, so the
 	// hot path is two slice stores and an amortised append — no map
-	// lookups, no per-tick reallocation. A zero in queueFirst/lastTick
-	// means "never scheduled" (ticks are 1-based).
+	// lookups, no per-tick reallocation. A zero in lastTick means "never
+	// scheduled" (ticks are 1-based); a thread's first tick goes straight
+	// to the firsts spool.
 	//
-	// When streaming, queueDelta is a window: index i holds the delta for
-	// absolute slot stream.deltaBase+i, and flushed slots are shifted out.
-	queueFirst []uint64 // tid -> first tick
+	// queueDelta is a window: index i holds the delta for absolute slot
+	// deltaBase+i, and flushed slots are shifted out.
 	queueDelta []uint64 // slot - deltaBase -> delta to the thread's next tick
 	lastTick   []uint64 // tid -> most recent tick
 
@@ -50,41 +52,83 @@ type Recorder struct {
 	// still hashes to 0 on disk, preserving every existing demo.
 	hashInited bool
 
-	// stream is non-nil for streaming recorders. It is set once before
-	// the Recorder is shared and never mutated, so nil checks outside the
-	// mutex are safe.
-	stream *streamState
+	// Latch: the newest point at which the container may be cut and
+	// still be a consistent prefix. Updated under mu at every tick.
+	footTick uint64
+	footHash uint64
+	sigN     int // absolute SIGNAL count at the latch
+	asyncN   int
+	sysN     int
+
+	// Absolute base offsets of the in-memory windows: entries below the
+	// base are already in the sink.
+	deltaBase uint64
+	sigBase   int
+	asyncBase int
+	sysBase   int
+
+	// Spools feeding the next queue chunk.
+	firsts  []firstEntry
+	patches []patchEntry
+
+	// werr is the first write error; once set the flusher has given up
+	// and Close reports it.
+	werr error
+
+	// The sink: file, or mem when recording in memory. Set once before
+	// the Recorder is shared, so nil checks outside the mutex are safe.
+	file *os.File
+	mem  []byte
+
+	// Flusher-owned double buffers, guarded by flushMu (held by the
+	// background flusher, Flush callers, or Close).
+	flushMu        sync.Mutex
+	enc            []byte
+	pay            []byte
+	scratchDeltas  []uint64
+	scratchFirsts  []firstEntry
+	scratchPatches []patchEntry
+	scratchSigs    []SignalEvent
+	scratchAsyncs  []AsyncEvent
+	scratchSys     []SyscallRecord
+	lastFooterTick uint64
+
+	// quit and done stop a file sink's background flusher; a memory sink
+	// has none and flushes only at Close.
+	quit      chan struct{}
+	done      chan struct{}
+	closeOnce sync.Once
+	closeDemo *Demo
+	closeErr  error
 }
 
-// NewRecorder returns an in-memory Recorder for the given strategy and
-// PRNG seeds; Finish freezes it into a Demo.
+// NewRecorder returns a Recorder that keeps its container in memory; Close
+// returns the recorded Demo.
 func NewRecorder(s Strategy, seed1, seed2 uint64) *Recorder {
 	return &Recorder{
 		strategy: s,
 		seed1:    seed1,
 		seed2:    seed2,
+		mem:      appendHeader(make([]byte, 0, v2HeaderLen), s, seed1, seed2),
 	}
 }
 
 // NoteSchedule records that thread tid executed the critical section with
 // (1-based) tick number tick. Only meaningful for the queue strategy; the
 // random strategy's schedule is implied by the seeds, so callers skip this
-// (and call NoteTick instead when streaming).
+// and call NoteTick instead.
 func (r *Recorder) NoteSchedule(tid int32, tick uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	base := uint64(0)
-	if r.stream != nil {
-		base = r.stream.deltaBase
-	}
+	base := r.deltaBase
 	need := tick - base // window length covering slot tick-1
 	if uint64(cap(r.queueDelta)) < need {
 		grown := make([]uint64, need, growCap(cap(r.queueDelta), need))
 		copy(grown, r.queueDelta)
 		r.queueDelta = grown
 	} else if uint64(len(r.queueDelta)) < need {
-		// Zero the extension explicitly: after a streaming flush shifts
-		// the window down, the backing array's tail holds stale deltas.
+		// Zero the extension explicitly: the window's array was the
+		// previous flush batch (see cut), so its tail holds stale deltas.
 		old := len(r.queueDelta)
 		r.queueDelta = r.queueDelta[:need]
 		for i := old; i < int(need); i++ {
@@ -93,7 +137,6 @@ func (r *Recorder) NoteSchedule(tid int32, tick uint64) {
 	}
 	for int(tid) >= len(r.lastTick) {
 		r.lastTick = append(r.lastTick, 0)
-		r.queueFirst = append(r.queueFirst, 0)
 	}
 	if last := r.lastTick[tid]; last != 0 {
 		if slot := last - 1; slot >= base {
@@ -104,32 +147,36 @@ func (r *Recorder) NoteSchedule(tid int32, tick uint64) {
 			// the patch (the file was cut before it) keeps the slot's 0,
 			// which correctly means "never scheduled again within that
 			// shorter prefix".
-			r.stream.patches = append(r.stream.patches, patchEntry{slot: slot, delta: tick - last})
+			r.patches = append(r.patches, patchEntry{slot: slot, delta: tick - last})
 		}
 	} else {
-		r.queueFirst[tid] = tick
-		if r.stream != nil {
-			r.stream.firsts = append(r.stream.firsts, firstEntry{tid: tid, tick: tick})
-		}
+		r.firsts = append(r.firsts, firstEntry{tid: tid, tick: tick})
 	}
 	r.lastTick[tid] = tick
-	if r.stream != nil {
-		r.latchLocked(tick)
-	}
+	r.latchLocked(tick)
 }
 
 // NoteTick latches tick as the latest completed critical section for the
-// streaming writer's footer candidates. Strategies whose schedule is
-// implied by the seeds (everything except queue, whose NoteSchedule
-// already latches) call this once per tick when streaming; it is a no-op
-// for in-memory recorders.
+// flusher's footer candidates. Strategies whose schedule is implied by the
+// seeds (everything except queue, whose NoteSchedule already latches) call
+// this once per tick. It is a lock-free no-op for a memory sink: nothing
+// is cut before Close, which cuts at "now".
 func (r *Recorder) NoteTick(tick uint64) {
-	if r.stream == nil {
+	if r.file == nil {
 		return
 	}
 	r.mu.Lock()
 	r.latchLocked(tick)
 	r.mu.Unlock()
+}
+
+// latchLocked records the newest consistent cut point. Caller holds r.mu.
+func (r *Recorder) latchLocked(tick uint64) {
+	r.footTick = tick
+	r.footHash = r.outputHash
+	r.sigN = r.sigBase + len(r.signals)
+	r.asyncN = r.asyncBase + len(r.asyncs)
+	r.sysN = r.sysBase + len(r.syscalls)
 }
 
 // growCap doubles the capacity until it covers need (minimum 1024 slots,
@@ -153,16 +200,13 @@ func growCap(cur int, need uint64) int {
 }
 
 // AddSignal appends a SIGNAL stream entry and returns its stream index
-// (the offset trace events carry). Indices are global across streaming
-// flushes: entries already written to disk still count.
+// (the offset trace events carry). Indices are global across flushes:
+// entries already in the sink still count.
 func (r *Recorder) AddSignal(ev SignalEvent) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.signals = append(r.signals, ev)
-	if st := r.stream; st != nil {
-		return st.sigBase + len(r.signals) - 1
-	}
-	return len(r.signals) - 1
+	return r.sigBase + len(r.signals) - 1
 }
 
 // AddAsync appends an ASYNC stream entry and returns its stream index.
@@ -170,10 +214,7 @@ func (r *Recorder) AddAsync(ev AsyncEvent) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.asyncs = append(r.asyncs, ev)
-	if st := r.stream; st != nil {
-		return st.asyncBase + len(r.asyncs) - 1
-	}
-	return len(r.asyncs) - 1
+	return r.asyncBase + len(r.asyncs) - 1
 }
 
 // AddSyscall appends a SYSCALL stream entry and returns its stream index.
@@ -181,10 +222,7 @@ func (r *Recorder) AddSyscall(rec SyscallRecord) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.syscalls = append(r.syscalls, rec)
-	if st := r.stream; st != nil {
-		return st.sysBase + len(r.syscalls) - 1
-	}
-	return len(r.syscalls) - 1
+	return r.sysBase + len(r.syscalls) - 1
 }
 
 // MixOutput folds an observable output byte sequence into the output hash
@@ -212,46 +250,10 @@ func mixHash(h uint64, p []byte) uint64 {
 	return h
 }
 
-// SyscallCount reports the number of syscall records so far (including,
-// for streaming recorders, records already flushed to disk).
+// SyscallCount reports the number of syscall records so far, including
+// records already flushed to the sink.
 func (r *Recorder) SyscallCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if st := r.stream; st != nil {
-		return st.sysBase + len(r.syscalls)
-	}
-	return len(r.syscalls)
-}
-
-// Finish freezes the recording into a Demo. finalTick is the scheduler's
-// tick counter at termination. Finish is only meaningful for in-memory
-// recorders; a streaming recorder's flushed prefix is no longer in memory,
-// so its demo is obtained by Close followed by ReadFile on the stream
-// path.
-func (r *Recorder) Finish(finalTick uint64) *Demo {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.stream != nil {
-		panic("demo: Finish called on a streaming Recorder; Close it and read the demo back from its file")
-	}
-	d := &Demo{
-		Strategy:   r.strategy,
-		Seed1:      r.seed1,
-		Seed2:      r.seed2,
-		FinalTick:  finalTick,
-		Signals:    append([]SignalEvent(nil), r.signals...),
-		Asyncs:     append([]AsyncEvent(nil), r.asyncs...),
-		Syscalls:   append([]SyscallRecord(nil), r.syscalls...),
-		OutputHash: r.outputHash,
-	}
-	if r.strategy == StrategyQueue {
-		d.Queue.FirstTick = make(map[int32]uint64)
-		for tid, t := range r.queueFirst {
-			if t != 0 {
-				d.Queue.FirstTick[int32(tid)] = t
-			}
-		}
-		d.Queue.Ticks = append([]uint64(nil), r.queueDelta...)
-	}
-	return d
+	return r.sysBase + len(r.syscalls)
 }

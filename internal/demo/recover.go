@@ -256,7 +256,11 @@ func buildV2(data []byte, strategy Strategy, seed1, seed2 uint64, fo v2Footer, t
 					return nil, fmt.Errorf("demo: queue chunk deltas: %w", err)
 				}
 				c.off += n
-				ticks = append(ticks, deltas...)
+				if ticks == nil {
+					ticks = deltas // a lone chunk (every in-memory recording) needs no copy
+				} else {
+					ticks = append(ticks, deltas...)
+				}
 			}
 			nFirsts := c.uvarint("queue chunk first count")
 			for i := uint64(0); i < nFirsts && c.err == nil; i++ {

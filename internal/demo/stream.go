@@ -22,25 +22,31 @@
 //
 // Consistency: the recorder latches (footer tick, output hash, per-stream
 // counts) under its mutex at every completed tick — NoteSchedule for the
-// queue strategy, NoteTick elsewhere. Everything the program does inside
+// queue strategy, NoteTick elsewhere (a memory sink, cut only at Close,
+// skips the NoteTick latch). Everything the program does inside
 // critical sections (syscall records, signal consumption, output emits)
 // is recorded before that tick's latch, and everything after a latch at
 // tick T only affects ticks > T, so a flush cut at a latch is an exact
 // consistent prefix of the execution.
 //
-// The hot path (NoteSchedule/Add*) only appends to in-memory windows; a
-// background goroutine drains the windows into encoded chunks on a timer,
-// double-buffering through reused scratch slices so the steady state
-// allocates nothing. Recovery of torn files is in recover.go.
+// The hot path (NoteSchedule/Add*) only appends to in-memory windows.
+// Every Recorder writes this container; only its sink differs. A file
+// sink has a background goroutine drain the windows into encoded chunks
+// on a timer, double-buffering through reused scratch slices so the
+// steady state allocates nothing. A memory sink has no flusher: Close
+// encodes the whole recording as one batch into a byte buffer. Either
+// way Close returns the strict decode of what was written, so in-memory
+// and on-disk recordings yield the same Demo. Recovery of torn files is
+// in recover.go.
 //
 //tsanrec:external host-side recording infrastructure: the flusher drains spools on a wall-clock timer outside the controlled scheduler
 package demo
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/rle"
@@ -62,21 +68,10 @@ const (
 	v2HeaderLen = len(magic2) + 2 + 16 // magic, version, strategy, two seeds
 )
 
-// defaultFlushInterval is how often the background flusher drains the
-// spool when StreamOptions does not say otherwise. Small enough that a
-// killed process loses at most a few tens of milliseconds of execution.
+// defaultFlushInterval is the file sink's background flush period when
+// the caller passes 0. Small enough that a killed process loses at most a
+// few tens of milliseconds of execution.
 const defaultFlushInterval = 25 * time.Millisecond
-
-// StreamOptions configures a streaming recorder.
-type StreamOptions struct {
-	// FlushInterval is the background flush period (0 = 25ms). Each flush
-	// appends at most one queue chunk, one events chunk and one footer.
-	FlushInterval time.Duration
-	// Fsync syncs the file after every flush batch, extending crash
-	// safety from process death to power failure. Off by default: the
-	// page cache survives SIGKILL, and Close always syncs.
-	Fsync bool
-}
 
 // firstEntry is a spooled QUEUE first-tick record.
 type firstEntry struct {
@@ -90,131 +85,61 @@ type patchEntry struct {
 	delta uint64
 }
 
-// streamState is the streaming side of a Recorder. The latched cut state
-// and the spools are guarded by the Recorder's mutex; the scratch and
-// encode buffers belong to whoever is inside flushMu (the background
-// flusher, Flush callers, or Close).
-type streamState struct {
-	f    *os.File
-	path string
-	opts StreamOptions
-
-	// Latch: the newest point at which the file may be cut and still be
-	// a consistent prefix. Updated under Recorder.mu at every tick.
-	footTick uint64
-	footHash uint64
-	sigN     int // absolute SIGNAL count at the latch
-	asyncN   int
-	sysN     int
-
-	// Absolute base offsets of the in-memory windows: entries below the
-	// base are already on disk.
-	deltaBase uint64
-	sigBase   int
-	asyncBase int
-	sysBase   int
-
-	// Spools feeding the next queue chunk.
-	firsts  []firstEntry
-	patches []patchEntry
-
-	// werr is the first write error; once set the flusher has given up
-	// and Close reports it.
-	werr error
-
-	// Flusher-owned double buffers, guarded by flushMu.
-	flushMu        sync.Mutex
-	enc            []byte
-	pay            []byte
-	scratchDeltas  []uint64
-	scratchFirsts  []firstEntry
-	scratchPatches []patchEntry
-	scratchSigs    []SignalEvent
-	scratchAsyncs  []AsyncEvent
-	scratchSys     []SyscallRecord
-	lastFooterTick uint64
-
-	quit      chan struct{}
-	done      chan struct{}
-	closeOnce sync.Once
-	closeErr  error
+// appendHeader appends the v2 container header.
+func appendHeader(dst []byte, s Strategy, seed1, seed2 uint64) []byte {
+	dst = append(dst, magic2...)
+	dst = append(dst, version2, byte(s))
+	dst = binary.LittleEndian.AppendUint64(dst, seed1)
+	return binary.LittleEndian.AppendUint64(dst, seed2)
 }
 
-// NewStreamingRecorder returns a Recorder that spools every stream to an
+// NewFileRecorder returns a Recorder that spools every stream to an
 // append-only v2 container at path as the run executes. The file is
 // created (truncating any previous content) and a background flusher is
-// started; the caller must Close the recorder to write the final footer.
-// The demo of the finished run is read back with ReadFile; the demo of a
+// started, draining the spool every flushInterval (0 = 25ms); the caller
+// must Close the recorder to write the final footer. The demo of a
 // crashed run is recovered with Recover.
-func NewStreamingRecorder(path string, s Strategy, seed1, seed2 uint64, opts StreamOptions) (*Recorder, error) {
-	if opts.FlushInterval <= 0 {
-		opts.FlushInterval = defaultFlushInterval
+func NewFileRecorder(path string, s Strategy, seed1, seed2 uint64, flushInterval time.Duration) (*Recorder, error) {
+	if flushInterval <= 0 {
+		flushInterval = defaultFlushInterval
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	hdr := make([]byte, 0, v2HeaderLen)
-	hdr = append(hdr, magic2...)
-	hdr = append(hdr, version2, byte(s))
-	hdr = binary.LittleEndian.AppendUint64(hdr, seed1)
-	hdr = binary.LittleEndian.AppendUint64(hdr, seed2)
-	if _, err := f.Write(hdr); err != nil {
+	if _, err := f.Write(appendHeader(make([]byte, 0, v2HeaderLen), s, seed1, seed2)); err != nil {
 		f.Close()
 		return nil, err
 	}
-	r := NewRecorder(s, seed1, seed2)
-	r.stream = &streamState{
-		f:    f,
-		path: path,
-		opts: opts,
-		quit: make(chan struct{}),
-		done: make(chan struct{}),
+	r := &Recorder{
+		strategy: s,
+		seed1:    seed1,
+		seed2:    seed2,
+		file:     f,
+		quit:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
-	go r.flushLoop()
+	go r.flushLoop(flushInterval)
 	return r, nil
-}
-
-// Streaming reports whether the recorder spools to disk.
-func (r *Recorder) Streaming() bool { return r.stream != nil }
-
-// StreamPath returns the streaming recorder's file path ("" for in-memory
-// recorders).
-func (r *Recorder) StreamPath() string {
-	if r.stream == nil {
-		return ""
-	}
-	return r.stream.path
-}
-
-// latchLocked records the newest consistent cut point. Caller holds r.mu.
-func (r *Recorder) latchLocked(tick uint64) {
-	st := r.stream
-	st.footTick = tick
-	st.footHash = r.outputHash
-	st.sigN = st.sigBase + len(r.signals)
-	st.asyncN = st.asyncBase + len(r.asyncs)
-	st.sysN = st.sysBase + len(r.syscalls)
 }
 
 // flushLoop is the background flusher: drain the spool every interval
 // until Close stops it. A write error is sticky — the loop exits and
 // Close surfaces the error.
-func (r *Recorder) flushLoop() {
-	st := r.stream
-	defer close(st.done)
-	tk := time.NewTicker(st.opts.FlushInterval)
+func (r *Recorder) flushLoop(interval time.Duration) {
+	defer close(r.done)
+	tk := time.NewTicker(interval)
 	defer tk.Stop()
 	for {
 		select {
-		case <-st.quit:
+		case <-r.quit:
 			return
 		case <-tk.C:
 		}
 		if err := r.flushOnce(false, 0); err != nil {
 			r.mu.Lock()
-			if st.werr == nil {
-				st.werr = err
+			if r.werr == nil {
+				r.werr = err
 			}
 			r.mu.Unlock()
 			return
@@ -223,15 +148,11 @@ func (r *Recorder) flushLoop() {
 }
 
 // Flush synchronously drains everything recorded up to the latest
-// completed tick into the file, ending with a footer candidate. Exposed
+// completed tick into the sink, ending with a footer candidate. Exposed
 // for tests and for callers that want a durable cut at a known point.
 func (r *Recorder) Flush() error {
-	st := r.stream
-	if st == nil {
-		return nil
-	}
 	r.mu.Lock()
-	werr := st.werr
+	werr := r.werr
 	r.mu.Unlock()
 	if werr != nil {
 		return werr
@@ -240,45 +161,68 @@ func (r *Recorder) Flush() error {
 }
 
 // Close stops the background flusher, writes the final flush batch (its
-// footer carries finalTick and the final flag), syncs and closes the
-// file. The recorder must not be used after Close.
-func (r *Recorder) Close(finalTick uint64) error {
-	st := r.stream
-	if st == nil {
-		return nil
-	}
-	st.closeOnce.Do(func() {
-		close(st.quit)
-		<-st.done
+// footer carries finalTick and the final flag) and finishes the sink — a
+// file is synced and closed. It returns the strict decode of the whole
+// container. The recorder must not be used after Close; calling Close
+// again returns the same results.
+func (r *Recorder) Close(finalTick uint64) (*Demo, error) {
+	r.closeOnce.Do(func() {
+		if r.file != nil {
+			close(r.quit)
+			<-r.done
+		}
 		err := r.flushOnce(true, finalTick)
 		r.mu.Lock()
 		if err == nil {
-			err = st.werr
+			err = r.werr
 		}
 		r.mu.Unlock()
-		if serr := st.f.Sync(); err == nil {
-			err = serr
+		data, eerr := r.endSink()
+		if err == nil {
+			err = eerr
 		}
-		if cerr := st.f.Close(); err == nil {
-			err = cerr
+		if err == nil {
+			r.closeDemo, err = DecodeStream(data)
 		}
-		st.closeErr = err
+		r.closeErr = err
 	})
-	return st.closeErr
+	return r.closeDemo, r.closeErr
+}
+
+// write appends p to the sink.
+func (r *Recorder) write(p []byte) error {
+	if r.file == nil {
+		r.mem = append(r.mem, p...)
+		return nil
+	}
+	_, err := r.file.Write(p)
+	return err
+}
+
+// endSink finishes the sink and returns every byte written to it. A file
+// is synced, closed and read back, so the Demo that Close returns is what
+// a later ReadFile of the file sees.
+func (r *Recorder) endSink() ([]byte, error) {
+	if r.file == nil {
+		return r.mem, nil
+	}
+	if err := errors.Join(r.file.Sync(), r.file.Close()); err != nil {
+		return nil, err
+	}
+	return os.ReadFile(r.file.Name())
 }
 
 // flushOnce cuts the spool at the current latch and appends one chunk
 // batch: [queue][events][footer]. The cut itself runs under the
-// recorder's mutex and only copies into reused scratch buffers; encoding
-// and the file write happen outside it.
+// recorder's mutex and only trades the windows for the reused scratch
+// buffers (see cut); encoding and the sink write happen outside it.
 func (r *Recorder) flushOnce(final bool, finalTick uint64) error {
-	st := r.stream
-	st.flushMu.Lock()
-	defer st.flushMu.Unlock()
+	r.flushMu.Lock()
+	defer r.flushMu.Unlock()
 
 	r.mu.Lock()
-	ft, fh := st.footTick, st.footHash
-	sigN, asyncN, sysN := st.sigN, st.asyncN, st.sysN
+	ft, fh := r.footTick, r.footHash
+	sigN, asyncN, sysN := r.sigN, r.asyncN, r.sysN
 	if final {
 		// Close flushes everything, not just the latched prefix: no more
 		// events can arrive, so "now" is a consistent cut.
@@ -286,117 +230,109 @@ func (r *Recorder) flushOnce(final bool, finalTick uint64) error {
 			ft = finalTick
 		}
 		fh = r.outputHash
-		sigN = st.sigBase + len(r.signals)
-		asyncN = st.asyncBase + len(r.asyncs)
-		sysN = st.sysBase + len(r.syscalls)
+		sigN = r.sigBase + len(r.signals)
+		asyncN = r.asyncBase + len(r.asyncs)
+		sysN = r.sysBase + len(r.syscalls)
 	}
 	// Queue segment: slots [deltaBase, ft). At a latch the window length
 	// is exactly ft-deltaBase (NoteSchedule extends and latches together),
 	// but clamp defensively.
-	qStart := st.deltaBase
+	qStart := r.deltaBase
 	nd := 0
-	if r.strategy == StrategyQueue && ft > st.deltaBase {
-		nd = int(ft - st.deltaBase)
+	if r.strategy == StrategyQueue && ft > r.deltaBase {
+		nd = int(ft - r.deltaBase)
 		if nd > len(r.queueDelta) {
 			nd = len(r.queueDelta)
 		}
-		st.scratchDeltas = append(st.scratchDeltas[:0], r.queueDelta[:nd]...)
-		keep := copy(r.queueDelta, r.queueDelta[nd:])
-		// Zero the vacated tail so future window extensions (which
-		// reslice over it) see zeros, preserving the "unwritten slot
-		// means never rescheduled" invariant.
-		for i := keep; i < len(r.queueDelta); i++ {
-			r.queueDelta[i] = 0
-		}
-		r.queueDelta = r.queueDelta[:keep]
-		st.deltaBase += uint64(nd)
+		r.scratchDeltas, r.queueDelta = cut(r.queueDelta, r.scratchDeltas, nd)
+		r.deltaBase += uint64(nd)
 	}
-	st.scratchFirsts = append(st.scratchFirsts[:0], st.firsts...)
-	st.firsts = st.firsts[:0]
-	st.scratchPatches = append(st.scratchPatches[:0], st.patches...)
-	st.patches = st.patches[:0]
-	cutSigs := sigN - st.sigBase
-	st.scratchSigs = append(st.scratchSigs[:0], r.signals[:cutSigs]...)
-	r.signals = r.signals[:copy(r.signals, r.signals[cutSigs:])]
-	st.sigBase = sigN
-	cutAsyncs := asyncN - st.asyncBase
-	st.scratchAsyncs = append(st.scratchAsyncs[:0], r.asyncs[:cutAsyncs]...)
-	r.asyncs = r.asyncs[:copy(r.asyncs, r.asyncs[cutAsyncs:])]
-	st.asyncBase = asyncN
-	cutSys := sysN - st.sysBase
-	st.scratchSys = append(st.scratchSys[:0], r.syscalls[:cutSys]...)
-	r.syscalls = r.syscalls[:copy(r.syscalls, r.syscalls[cutSys:])]
-	st.sysBase = sysN
+	r.scratchFirsts, r.firsts = cut(r.firsts, r.scratchFirsts, len(r.firsts))
+	r.scratchPatches, r.patches = cut(r.patches, r.scratchPatches, len(r.patches))
+	r.scratchSigs, r.signals = cut(r.signals, r.scratchSigs, sigN-r.sigBase)
+	r.sigBase = sigN
+	r.scratchAsyncs, r.asyncs = cut(r.asyncs, r.scratchAsyncs, asyncN-r.asyncBase)
+	r.asyncBase = asyncN
+	r.scratchSys, r.syscalls = cut(r.syscalls, r.scratchSys, sysN-r.sysBase)
+	r.sysBase = sysN
 	r.mu.Unlock()
 
-	haveQueue := nd > 0 || len(st.scratchFirsts) > 0 || len(st.scratchPatches) > 0
-	haveEvents := len(st.scratchSigs) > 0 || len(st.scratchAsyncs) > 0 || len(st.scratchSys) > 0
-	if !haveQueue && !haveEvents && ft == st.lastFooterTick && !final {
+	haveQueue := nd > 0 || len(r.scratchFirsts) > 0 || len(r.scratchPatches) > 0
+	haveEvents := len(r.scratchSigs) > 0 || len(r.scratchAsyncs) > 0 || len(r.scratchSys) > 0
+	if !haveQueue && !haveEvents && ft == r.lastFooterTick && !final {
 		return nil // nothing new since the previous footer
 	}
 
-	st.enc = st.enc[:0]
+	r.enc = r.enc[:0]
 	if haveQueue {
-		st.pay = st.pay[:0]
-		st.pay = binary.AppendUvarint(st.pay, qStart)
-		st.pay = rle.AppendUint64s(st.pay, st.scratchDeltas)
-		st.pay = binary.AppendUvarint(st.pay, uint64(len(st.scratchFirsts)))
-		for _, fe := range st.scratchFirsts {
-			st.pay = binary.AppendUvarint(st.pay, uint64(uint32(fe.tid)))
-			st.pay = binary.AppendUvarint(st.pay, fe.tick)
+		r.pay = r.pay[:0]
+		r.pay = binary.AppendUvarint(r.pay, qStart)
+		r.pay = rle.AppendUint64s(r.pay, r.scratchDeltas)
+		r.pay = binary.AppendUvarint(r.pay, uint64(len(r.scratchFirsts)))
+		for _, fe := range r.scratchFirsts {
+			r.pay = binary.AppendUvarint(r.pay, uint64(uint32(fe.tid)))
+			r.pay = binary.AppendUvarint(r.pay, fe.tick)
 		}
-		st.pay = binary.AppendUvarint(st.pay, uint64(len(st.scratchPatches)))
-		for _, pe := range st.scratchPatches {
-			st.pay = binary.AppendUvarint(st.pay, pe.slot)
-			st.pay = binary.AppendUvarint(st.pay, pe.delta)
+		r.pay = binary.AppendUvarint(r.pay, uint64(len(r.scratchPatches)))
+		for _, pe := range r.scratchPatches {
+			r.pay = binary.AppendUvarint(r.pay, pe.slot)
+			r.pay = binary.AppendUvarint(r.pay, pe.delta)
 		}
-		st.enc = appendChunk(st.enc, chunkQueue, st.pay)
+		r.enc = appendChunk(r.enc, chunkQueue, r.pay)
 	}
 	if haveEvents {
-		st.pay = st.pay[:0]
-		st.pay = binary.AppendUvarint(st.pay, uint64(len(st.scratchSigs)))
-		for _, s := range st.scratchSigs {
-			st.pay = binary.AppendUvarint(st.pay, uint64(uint32(s.TID)))
-			st.pay = binary.AppendUvarint(st.pay, s.Tick)
-			st.pay = binary.AppendUvarint(st.pay, uint64(uint32(s.Sig)))
+		r.pay = r.pay[:0]
+		r.pay = binary.AppendUvarint(r.pay, uint64(len(r.scratchSigs)))
+		for _, s := range r.scratchSigs {
+			r.pay = binary.AppendUvarint(r.pay, uint64(uint32(s.TID)))
+			r.pay = binary.AppendUvarint(r.pay, s.Tick)
+			r.pay = binary.AppendUvarint(r.pay, uint64(uint32(s.Sig)))
 		}
-		st.pay = binary.AppendUvarint(st.pay, uint64(len(st.scratchAsyncs)))
-		for _, a := range st.scratchAsyncs {
-			st.pay = append(st.pay, byte(a.Kind))
-			st.pay = binary.AppendUvarint(st.pay, a.Tick)
-			st.pay = binary.AppendUvarint(st.pay, uint64(uint32(a.TID)))
+		r.pay = binary.AppendUvarint(r.pay, uint64(len(r.scratchAsyncs)))
+		for _, a := range r.scratchAsyncs {
+			r.pay = append(r.pay, byte(a.Kind))
+			r.pay = binary.AppendUvarint(r.pay, a.Tick)
+			r.pay = binary.AppendUvarint(r.pay, uint64(uint32(a.TID)))
 		}
-		st.pay = binary.AppendUvarint(st.pay, uint64(len(st.scratchSys)))
-		for _, sc := range st.scratchSys {
-			st.pay = binary.AppendUvarint(st.pay, uint64(uint32(sc.TID)))
-			st.pay = binary.AppendUvarint(st.pay, uint64(sc.Kind))
-			st.pay = binary.AppendUvarint(st.pay, zigzag(sc.Ret))
-			st.pay = binary.AppendUvarint(st.pay, uint64(uint32(sc.Errno)))
-			st.pay = binary.AppendUvarint(st.pay, uint64(len(sc.Bufs)))
+		r.pay = binary.AppendUvarint(r.pay, uint64(len(r.scratchSys)))
+		for _, sc := range r.scratchSys {
+			r.pay = binary.AppendUvarint(r.pay, uint64(uint32(sc.TID)))
+			r.pay = binary.AppendUvarint(r.pay, uint64(sc.Kind))
+			r.pay = binary.AppendUvarint(r.pay, zigzag(sc.Ret))
+			r.pay = binary.AppendUvarint(r.pay, uint64(uint32(sc.Errno)))
+			r.pay = binary.AppendUvarint(r.pay, uint64(len(sc.Bufs)))
 			for _, b := range sc.Bufs {
-				st.pay = rle.AppendBytes(st.pay, b)
+				r.pay = rle.AppendBytes(r.pay, b)
 			}
 		}
-		st.enc = appendChunk(st.enc, chunkEvents, st.pay)
+		r.enc = appendChunk(r.enc, chunkEvents, r.pay)
 	}
-	st.pay = st.pay[:0]
+	r.pay = r.pay[:0]
 	var flags byte
 	if final {
 		flags |= footerFinal
 	}
-	st.pay = append(st.pay, flags)
-	st.pay = binary.AppendUvarint(st.pay, ft)
-	st.pay = binary.LittleEndian.AppendUint64(st.pay, fh)
-	st.enc = appendChunk(st.enc, chunkFooter, st.pay)
+	r.pay = append(r.pay, flags)
+	r.pay = binary.AppendUvarint(r.pay, ft)
+	r.pay = binary.LittleEndian.AppendUint64(r.pay, fh)
+	r.enc = appendChunk(r.enc, chunkFooter, r.pay)
 
-	if _, err := st.f.Write(st.enc); err != nil {
+	if err := r.write(r.enc); err != nil {
 		return err
 	}
-	st.lastFooterTick = ft
-	if st.opts.Fsync {
-		return st.f.Sync()
-	}
+	r.lastFooterTick = ft
 	return nil
+}
+
+// cut splits a window at n. The first n entries become the batch to
+// encode, keeping the window's array; the rest move to the front of the
+// previous batch's array, which becomes the window. Swapping the arrays
+// makes the usual cut — the whole window, as at every latch and at Close —
+// copy nothing. Stale entries past the new window's length are harmless:
+// NoteSchedule zeroes the delta window as it extends it, and the event
+// windows only append.
+func cut[T any](window, spare []T, n int) (batch, rest []T) {
+	return window[:n], append(spare[:0], window[n:]...)
 }
 
 // appendChunk frames one chunk: type byte, uvarint payload length, the

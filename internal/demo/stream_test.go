@@ -1,7 +1,6 @@
 package demo
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,8 +10,11 @@ import (
 
 // feedRecorder drives one synthetic queue-strategy execution into r:
 // three threads round-robin for n ticks, with a signal, an async and a
-// syscall sprinkled in, plus output. Returns the final tick.
-func feedRecorder(r *Recorder, n int) uint64 {
+// syscall sprinkled in, plus output. A positive flushEvery flushes at
+// every multiple of it so the container holds several chunk batches and
+// the windows actually shift. Returns the final tick.
+func feedRecorder(t *testing.T, r *Recorder, n, flushEvery int) uint64 {
+	t.Helper()
 	for tick := 1; tick <= n; tick++ {
 		tid := int32((tick - 1) % 3)
 		r.NoteSchedule(tid, uint64(tick))
@@ -27,72 +29,36 @@ func feedRecorder(r *Recorder, n int) uint64 {
 		if tick%4 == 0 {
 			r.MixOutput([]byte{byte(tick)})
 		}
+		if flushEvery > 0 && tick%flushEvery == 0 {
+			if err := r.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	return uint64(n)
 }
 
-// newStreamRecorder returns a streaming recorder writing into a temp file,
-// with the background flusher effectively disabled so tests control flush
+// mustClose closes a recorder and returns its demo. A memory sink cannot
+// fail to write, so an error is a bug.
+func mustClose(r *Recorder, finalTick uint64) *Demo {
+	d, err := r.Close(finalTick)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
+// newStreamRecorder returns a file recorder writing into a temp file, with
+// the background flusher effectively disabled so tests control flush
 // boundaries exactly via Flush().
 func newStreamRecorder(t *testing.T) (*Recorder, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "stream.demo2")
-	r, err := NewStreamingRecorder(path, StrategyQueue, 11, 22, StreamOptions{FlushInterval: time.Hour})
+	r, err := NewFileRecorder(path, StrategyQueue, 11, 22, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r, path
-}
-
-// TestStreamingMatchesInMemory: the demo read back from a streamed file is
-// identical to what an in-memory recorder fed the same events freezes.
-func TestStreamingMatchesInMemory(t *testing.T) {
-	const n = 200
-	mem := NewRecorder(StrategyQueue, 11, 22)
-	final := feedRecorder(mem, n)
-	want := mem.Finish(final)
-
-	sr, path := newStreamRecorder(t)
-	// Flush mid-stream several times so the file holds multiple chunk
-	// batches and the windows actually shift.
-	for start := 0; start < n; start += 64 {
-		end := start + 64
-		if end > n {
-			end = n
-		}
-		for tick := start + 1; tick <= end; tick++ {
-			tid := int32((tick - 1) % 3)
-			sr.NoteSchedule(tid, uint64(tick))
-			switch tick % 7 {
-			case 2:
-				sr.AddSignal(SignalEvent{TID: tid, Tick: uint64(tick), Sig: 15})
-			case 3:
-				sr.AddAsync(AsyncEvent{Kind: AsyncReschedule, Tick: uint64(tick), TID: tid})
-			case 5:
-				sr.AddSyscall(SyscallRecord{TID: tid, Kind: 3, Ret: int64(tick), Bufs: [][]byte{{byte(tick)}}})
-			}
-			if tick%4 == 0 {
-				sr.MixOutput([]byte{byte(tick)})
-			}
-		}
-		if err := sr.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sr.Close(final); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("streamed demo differs from in-memory demo:\n got %+v\nwant %+v", got, want)
-	}
-	// And the canonical v1 encodings agree byte for byte.
-	if !bytes.Equal(got.Encode(), want.Encode()) {
-		t.Fatal("v1 encodings differ")
-	}
 }
 
 // TestStreamingAddIndicesStayGlobal: the indices Add* return keep counting
@@ -119,44 +85,28 @@ func TestStreamingAddIndicesStayGlobal(t *testing.T) {
 	if got := r.SyscallCount(); got != 2 {
 		t.Fatalf("SyscallCount = %d, want 2", got)
 	}
-	r.Close(5)
+	mustClose(r, 5)
 }
 
-// streamedFile records a run with flushes at the given tick boundaries and
-// returns the file bytes and the full in-memory equivalent demo.
+// streamedFile records a run into a file with flushes every flushEvery
+// ticks and returns the file bytes and the same run recorded in memory.
+// The demo Close returns for the file must equal the one read back.
 func streamedFile(t *testing.T, n, flushEvery int) ([]byte, *Demo) {
 	t.Helper()
 	mem := NewRecorder(StrategyQueue, 11, 22)
-	feedRecorder(mem, n)
-	want := mem.Finish(uint64(n))
+	want := mustClose(mem, feedRecorder(t, mem, n, 0))
 
 	sr, path := newStreamRecorder(t)
-	for tick := 1; tick <= n; tick++ {
-		tid := int32((tick - 1) % 3)
-		sr.NoteSchedule(tid, uint64(tick))
-		switch tick % 7 {
-		case 2:
-			sr.AddSignal(SignalEvent{TID: tid, Tick: uint64(tick), Sig: 15})
-		case 3:
-			sr.AddAsync(AsyncEvent{Kind: AsyncReschedule, Tick: uint64(tick), TID: tid})
-		case 5:
-			sr.AddSyscall(SyscallRecord{TID: tid, Kind: 3, Ret: int64(tick), Bufs: [][]byte{{byte(tick)}}})
-		}
-		if tick%4 == 0 {
-			sr.MixOutput([]byte{byte(tick)})
-		}
-		if tick%flushEvery == 0 {
-			if err := sr.Flush(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := sr.Close(uint64(n)); err != nil {
+	closed, err := sr.Close(feedRecorder(t, sr, n, flushEvery))
+	if err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if read, err := DecodeStream(data); err != nil || !reflect.DeepEqual(read, closed) {
+		t.Fatalf("Close's demo differs from the file's (%v)", err)
 	}
 	return data, want
 }
@@ -340,20 +290,7 @@ func TestMixHashZeroStateNotReseeded(t *testing.T) {
 	// An empty output stream still hashes to 0 (on-disk compatibility with
 	// demos recorded before the fix).
 	r2 := NewRecorder(StrategyQueue, 1, 2)
-	if d := r2.Finish(0); d.OutputHash != 0 {
+	if d := mustClose(r2, 0); d.OutputHash != 0 {
 		t.Fatalf("empty output hashed to %#x, want 0", d.OutputHash)
 	}
-}
-
-// TestFinishPanicsOnStreamingRecorder: the in-memory freeze is meaningless
-// once part of the recording lives on disk.
-func TestFinishPanicsOnStreamingRecorder(t *testing.T) {
-	r, _ := newStreamRecorder(t)
-	defer r.Close(0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Finish on a streaming recorder did not panic")
-		}
-	}()
-	r.Finish(0)
 }

@@ -76,35 +76,55 @@ func decodeLimit(n int) uint64 {
 // is bounded by the input size (see decodeLimit), so corrupt run counts
 // cannot force huge allocations.
 func DecodeUint64s(src []byte) ([]uint64, int, error) {
+	// The first pass validates and sizes, so the second fills one exact
+	// allocation instead of growing the output by doubling.
+	total, off, err := scanRuns(src, nil)
+	if err != nil || total == 0 {
+		return nil, off, err
+	}
+	out := make([]uint64, 0, total)
+	scanRuns(src, func(val, cnt uint64) {
+		for ; cnt > 0; cnt-- {
+			out = append(out, val)
+		}
+	})
+	return out, off, nil
+}
+
+// scanRuns walks the (value, count) runs of an AppendUint64s stream,
+// handing each to emit when it is non-nil, and returns the decoded length
+// and the number of bytes consumed.
+func scanRuns(src []byte, emit func(val, cnt uint64)) (uint64, int, error) {
 	runs, n := binary.Uvarint(src)
 	if n <= 0 {
-		return nil, 0, fmt.Errorf("%w: run count", ErrCorrupt)
+		return 0, 0, fmt.Errorf("%w: run count", ErrCorrupt)
 	}
 	limit := decodeLimit(len(src))
 	off := n
-	var out []uint64
+	total := uint64(0)
 	for r := uint64(0); r < runs; r++ {
 		val, n := binary.Uvarint(src[off:])
 		if n <= 0 {
-			return nil, 0, fmt.Errorf("%w: run %d value", ErrCorrupt, r)
+			return 0, 0, fmt.Errorf("%w: run %d value", ErrCorrupt, r)
 		}
 		off += n
 		cnt, n := binary.Uvarint(src[off:])
 		if n <= 0 {
-			return nil, 0, fmt.Errorf("%w: run %d count", ErrCorrupt, r)
+			return 0, 0, fmt.Errorf("%w: run %d count", ErrCorrupt, r)
 		}
 		off += n
 		if cnt == 0 {
-			return nil, 0, fmt.Errorf("%w: run %d has zero length", ErrCorrupt, r)
+			return 0, 0, fmt.Errorf("%w: run %d has zero length", ErrCorrupt, r)
 		}
-		if cnt > limit || uint64(len(out))+cnt > limit {
-			return nil, 0, fmt.Errorf("%w: run %d claims %d values from %d input bytes", ErrCorrupt, r, cnt, len(src))
+		if cnt > limit || total+cnt > limit {
+			return 0, 0, fmt.Errorf("%w: run %d claims %d values from %d input bytes", ErrCorrupt, r, cnt, len(src))
 		}
-		for i := uint64(0); i < cnt; i++ {
-			out = append(out, val)
+		total += cnt
+		if emit != nil {
+			emit(val, cnt)
 		}
 	}
-	return out, off, nil
+	return total, off, nil
 }
 
 // AppendBytes appends the run-length encoding of data to dst. Runs of four

@@ -417,9 +417,9 @@ func (s *Scheduler) TickEvent(tid TID, ev obs.Event) uint64 {
 		if s.opts.Kind == demo.StrategyQueue {
 			rec.NoteSchedule(int32(tid), t)
 		} else {
-			// Other strategies record no QUEUE stream, but a streaming
+			// Other strategies record no QUEUE stream, but a file
 			// recorder still needs the tick latched for its footer
-			// candidates. No-op (no lock) for in-memory recorders.
+			// candidates. No-op (no lock) for a memory sink.
 			rec.NoteTick(t)
 		}
 	}

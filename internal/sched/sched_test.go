@@ -357,7 +357,10 @@ func TestRecordReplayScheduleEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	order1 := script(s1)
-	d := rec.Finish(s1.TickCount())
+	d, err := rec.Close(s1.TickCount())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	rp, err := demo.NewReplayer(d, demo.ReplayStrict)
 	if err != nil {
