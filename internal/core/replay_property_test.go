@@ -151,6 +151,32 @@ func TestPropertyRandomProgramsReplayExactly(t *testing.T) {
 	}
 }
 
+// TestPrintingProgramNeverSoftDesyncs: threads that print in the same
+// parallel region emit in schedule order, not in physical arrival order,
+// so strict replays of a long printing program match the recording's
+// output and hash every time, under a physically ordered (queue) and a
+// seed-ordered (random) strategy.
+func TestPrintingProgramNeverSoftDesyncs(t *testing.T) {
+	prog := repeatProgram(genConfig{threads: 3, opsPer: 60, seed: 97}, 30)
+	for i := uint64(0); i < 24; i++ {
+		strat := []demo.Strategy{demo.StrategyQueue, demo.StrategyRandom}[i%2]
+		rt := newTestRuntime(t, Options{Strategy: strat, Seed1: i, Seed2: i ^ 0xfeed, Record: true})
+		rec, err := rt.Run(prog(rt))
+		if err != nil {
+			t.Fatalf("record %d (strat %v): %v", i, strat, err)
+		}
+		rt = newTestRuntime(t, Options{Strategy: strat, Replay: rec.Demo})
+		rep, err := rt.Run(prog(rt))
+		if err != nil {
+			t.Fatalf("replay %d (strat %v): %v", i, strat, err)
+		}
+		if rep.SoftDesync || string(rep.Output) != string(rec.Output) {
+			t.Errorf("replay %d (strat %v): soft desync %v, output equal %v",
+				i, strat, rep.SoftDesync, string(rep.Output) == string(rec.Output))
+		}
+	}
+}
+
 // TestPropertyDemoSurvivesSerialisation: the same equivalence holds after
 // a demo round-trips through its binary encoding, as it would on disk.
 func TestPropertyDemoSurvivesSerialisation(t *testing.T) {

@@ -32,6 +32,13 @@ type Thread struct {
 	// taking the scheduler lock. Owned by the thread's own goroutine.
 	lastTick uint64
 
+	// out holds Printf output not yet emitted. Printf runs in invisible
+	// code, so emitting there would order output by physical timing;
+	// instead the thread emits it at the start of its next critical
+	// section, where the schedule fixes the order. Owned by the thread's
+	// own goroutine.
+	out []byte
+
 	// uncontrolled-mode state
 	udone    chan struct{}
 	upending []int32
@@ -80,6 +87,7 @@ func (t *Thread) criticalOp(kind obs.Kind, obj uint64, name string, fn func()) {
 		if rt.opts.Sequentialize {
 			rt.cpu.acquire(t)
 		}
+		t.flushOutput()
 		if sig, ok := rt.sch.ConsumeSignal(t.id); ok {
 			// Handler entry is this critical section; the handler body
 			// runs outside it, its own visible operations nesting
@@ -246,9 +254,25 @@ func (t *Thread) Nap(d time.Duration) {
 }
 
 // Printf emits observable program output, collected into the report and
-// folded into the soft-desync hash.
+// folded into the soft-desync hash. Under the scheduler the output is
+// buffered and emitted at the thread's next visible operation (see
+// flushOutput), so its order among threads is the schedule's.
 func (t *Thread) Printf(format string, args ...any) {
-	t.rt.emit([]byte(fmt.Sprintf(format, args...)))
+	if t.rt.opts.Uncontrolled {
+		t.rt.emit(fmt.Appendf(nil, format, args...))
+		return
+	}
+	t.out = fmt.Appendf(t.out, format, args...)
+}
+
+// flushOutput emits the thread's buffered output. Called inside the
+// thread's critical section, before the tick that the recorder latches,
+// so a demo cut at that tick carries the matching output hash.
+func (t *Thread) flushOutput() {
+	if len(t.out) > 0 {
+		t.rt.emit(t.out)
+		t.out = t.out[:0]
+	}
 }
 
 // spin busy-waits for roughly d, modelling fixed per-event instrumentation

@@ -12,9 +12,10 @@
 //     seed-determined strategies (random, PCT, delay) the live
 //     continuation is exactly the recorded one — so the constrained
 //     prefix can usually shrink to the failure point while the replay
-//     still reproduces bit-for-bit. Queue demos shrink less (the live
-//     continuation depends on physical arrival), which the re-validation
-//     naturally detects and rejects.
+//     still reproduces bit-for-bit. Queue demos are not truncated: past
+//     the cut the queue strategy follows physical arrival, so a replay
+//     that reproduces once may not the next time, and a single
+//     validating replay cannot tell the two apart.
 //  2. Per-stream event dropping: greedily remove ASYNC and SIGNAL events
 //     (highest index first) and keep each removal that still reproduces.
 //     Syscall records are never dropped — replay consumes them
@@ -48,8 +49,11 @@ func minimizeFailure(cfg *Config, f *Failure) {
 
 	// Pass 1: binary-search the smallest reproducing tick prefix. On
 	// success the candidate becomes the new best, so later truncations
-	// start from an already-shrunk demo.
+	// start from an already-shrunk demo. Queue demos skip it (see above).
 	lo, hi := uint64(1), best.FinalTick
+	if best.Strategy == demo.StrategyQueue {
+		hi = lo
+	}
 	for lo < hi && replays < cfg.MinimizeBudget {
 		mid := lo + (hi-lo)/2
 		cand := best.TruncateTo(mid)

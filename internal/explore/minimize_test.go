@@ -55,10 +55,11 @@ func TestMinimizerProperty(t *testing.T) {
 }
 
 // TestMinimizerQueueStrategy exercises the queue stream: a queue demo's
-// interleaving lives in Queue.FirstTick/Ticks, so truncation has to keep
-// the 1..FinalTick schedule coverage the replayer demands. Queue replays
-// are schedule-dictated and thus deterministic even though queue
-// *recording* depends on physical arrival order.
+// interleaving lives in Queue.FirstTick/Ticks and dictates the whole
+// schedule, so its replay is deterministic even though queue *recording*
+// depends on physical arrival order. The minimizer therefore never cuts
+// it short (past a cut, arrival order would decide again), and the
+// minimized demo must reproduce on every replay.
 func TestMinimizerQueueStrategy(t *testing.T) {
 	cfg := detCfg(t, 1)
 	cfg.Source = &SeedRotation{MasterSeed: 42, Strategies: []demo.Strategy{demo.StrategyQueue}}
