@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/apps/litmus"
@@ -32,11 +33,6 @@ import (
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-var stratOf = map[string]demo.Strategy{
-	"rnd": demo.StrategyRandom, "queue": demo.StrategyQueue,
-	"pct": demo.StrategyPCT, "delay": demo.StrategyDelay,
 }
 
 func run(args []string, out, errOut io.Writer) int {
@@ -58,18 +54,14 @@ func run(args []string, out, errOut io.Writer) int {
 	}
 	p, ok := litmus.ByName(*programName)
 	if !ok {
-		fmt.Fprintf(errOut, "unknown program %q; available:", *programName)
-		for _, q := range litmus.Programs {
-			fmt.Fprintf(errOut, " %s", q.Name)
-		}
-		fmt.Fprintln(errOut)
+		fmt.Fprintf(errOut, "unknown program %q; available: %s\n", *programName, strings.Join(litmus.Names(), " "))
 		return 2
 	}
 
 	if *recordPath != "" {
-		strat, ok := stratOf[*strategy]
-		if !ok {
-			fmt.Fprintf(errOut, "unknown strategy %q\n", *strategy)
+		strat, err := demo.ParseStrategy(*strategy)
+		if err != nil {
+			fmt.Fprintln(errOut, err)
 			return 2
 		}
 		opts := core.RecordOptions(strat, *seed, *seed^0x9e3779b97f4a7c15)

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/apps/litmus"
 	"repro/internal/apps/modes"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -30,14 +31,14 @@ func main() {
 	flag.Parse()
 	sess := obs.NewSession(*tracePath, *metricsFlag)
 
-	var selected []litmus.Program
+	var selected []core.Program
 	if *programs == "all" {
 		selected = litmus.Programs
 	} else {
 		for _, name := range strings.Split(*programs, ",") {
 			p, ok := litmus.ByName(strings.TrimSpace(name))
 			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown program %q\n", name)
+				fmt.Fprintf(os.Stderr, "unknown program %q; available: %s\n", name, strings.Join(litmus.Names(), " "))
 				os.Exit(2)
 			}
 			selected = append(selected, p)

@@ -47,11 +47,6 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-var stratOf = map[string]demo.Strategy{
-	"rnd": demo.StrategyRandom, "queue": demo.StrategyQueue,
-	"pct": demo.StrategyPCT, "delay": demo.StrategyDelay,
-}
-
 func run(args []string, out, errOut io.Writer) int {
 	fs := flag.NewFlagSet("racehunt", flag.ContinueOnError)
 	fs.SetOutput(errOut)
@@ -78,18 +73,14 @@ func run(args []string, out, errOut io.Writer) int {
 
 	p, ok := litmus.ByName(*programName)
 	if !ok {
-		fmt.Fprintf(errOut, "unknown program %q; available:", *programName)
-		for _, q := range litmus.Programs {
-			fmt.Fprintf(errOut, " %s", q.Name)
-		}
-		fmt.Fprintln(errOut)
+		fmt.Fprintf(errOut, "unknown program %q; available: %s\n", *programName, strings.Join(litmus.Names(), " "))
 		return 2
 	}
 	var strats []demo.Strategy
 	for _, name := range strings.Split(*strategies, ",") {
-		strat, ok := stratOf[strings.TrimSpace(name)]
-		if !ok {
-			fmt.Fprintf(errOut, "unknown strategy %q\n", name)
+		strat, err := demo.ParseStrategy(strings.TrimSpace(name))
+		if err != nil {
+			fmt.Fprintln(errOut, err)
 			return 2
 		}
 		strats = append(strats, strat)
@@ -125,7 +116,7 @@ func run(args []string, out, errOut io.Writer) int {
 
 	sess := obs.NewSession(*tracePath, *metricsFlag)
 	cfg := explore.Config{
-		Program:        explore.Program{Name: p.Name, Body: p.Body},
+		Program:        p,
 		Source:         source,
 		Trials:         *trials,
 		Workers:        *workers,

@@ -74,14 +74,22 @@ func TestRacehuntSmoke(t *testing.T) {
 }
 
 func TestRacehuntUsageErrors(t *testing.T) {
-	cases := [][]string{
-		{"-program", "no-such-program"},
-		{"-strategies", "bogus"},
+	cases := []struct {
+		args []string
+		want string // in stderr
+	}{
+		// The rejection lists every name -program accepts, the synthetic
+		// Extras included.
+		{[]string{"-program", "nope"}, "ms-queue needle"},
+		{[]string{"-strategies", "bogus"}, `unknown strategy "bogus"`},
 	}
-	for _, args := range cases {
+	for _, tc := range cases {
 		var out, errOut bytes.Buffer
-		if code := run(args, &out, &errOut); code != 2 {
-			t.Errorf("args %v: exit %d, want 2 (stderr: %s)", args, code, errOut.String())
+		if code := run(tc.args, &out, &errOut); code != 2 {
+			t.Errorf("args %v: exit %d, want 2 (stderr: %s)", tc.args, code, errOut.String())
+		}
+		if !strings.Contains(errOut.String(), tc.want) {
+			t.Errorf("args %v: stderr missing %q:\n%s", tc.args, tc.want, errOut.String())
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/apps/litmus"
 	"repro/internal/apps/modes"
+	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -68,7 +69,7 @@ func header() []string {
 	return h
 }
 
-func firstRaceSeed(p litmus.Program, mode string, budget int) int {
+func firstRaceSeed(p core.Program, mode string, budget int) int {
 	for seed := 1; seed <= budget; seed++ {
 		opts, err := modes.Options(mode, uint64(seed)*31+1, true)
 		if err != nil {

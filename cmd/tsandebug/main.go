@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/apps/litmus"
@@ -49,13 +48,13 @@ func run(args []string, in io.Reader, out, errOut io.Writer) int {
 		return 2
 	}
 	if *progName == "" || *demoPath == "" || fs.NArg() != 0 {
-		fmt.Fprintln(errOut, "usage: tsandebug -program <litmus program> -demo <file> [-script file | -e 'cmd; cmd'] [-checkpoint-every N]")
-		fmt.Fprintf(errOut, "programs: %s\n", strings.Join(litmusNames(), ", "))
+		fmt.Fprintf(errOut, "usage: tsandebug -program <%s> -demo <file> [-script file | -e 'cmd; cmd'] [-checkpoint-every N]\n",
+			strings.Join(litmus.Names(), "|"))
 		return 2
 	}
 	p, ok := litmus.ByName(*progName)
 	if !ok {
-		fmt.Fprintf(errOut, "tsandebug: unknown program %q (known: %s)\n", *progName, strings.Join(litmusNames(), ", "))
+		fmt.Fprintf(errOut, "tsandebug: unknown program %q; available: %s\n", *progName, strings.Join(litmus.Names(), " "))
 		return 2
 	}
 	d, err := demo.ReadFile(*demoPath)
@@ -64,7 +63,7 @@ func run(args []string, in io.Reader, out, errOut io.Writer) int {
 		return 1
 	}
 
-	sess, err := debugger.New(debugger.Program{Name: p.Name, Body: p.Body}, d,
+	sess, err := debugger.New(p, d,
 		debugger.Options{CheckpointEvery: *every, TraceRing: *ring})
 	if err != nil {
 		fmt.Fprintf(errOut, "tsandebug: %v\n", err)
@@ -139,13 +138,4 @@ func repl(ex *debugger.Executor, in io.Reader, out io.Writer) int {
 			return 0
 		}
 	}
-}
-
-func litmusNames() []string {
-	names := make([]string, 0, len(litmus.Programs))
-	for _, p := range litmus.Programs {
-		names = append(names, p.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -79,13 +79,22 @@ func TestFailingScript(t *testing.T) {
 	}
 }
 
+// TestUsageErrors: both the usage line and the unknown-program rejection
+// exit 2 and list every name -program accepts, the synthetic Extras
+// included.
 func TestUsageErrors(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run(nil, strings.NewReader(""), &out, &errOut); code != 2 {
-		t.Fatalf("missing flags: run = %d, want 2", code)
-	}
-	if code := run([]string{"-program", "nope", "-demo", "testdata/msqueue.demo"},
-		strings.NewReader(""), &out, &errOut); code != 2 {
-		t.Fatalf("unknown program: run = %d, want 2", code)
+	for _, args := range [][]string{
+		nil,
+		{"-program", "nope", "-demo", "testdata/msqueue.demo"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(args, strings.NewReader(""), &out, &errOut); code != 2 {
+			t.Fatalf("args %v: run = %d, want 2", args, code)
+		}
+		for _, want := range []string{"ms-queue", "needle"} {
+			if !strings.Contains(errOut.String(), want) {
+				t.Errorf("args %v: stderr missing %q:\n%s", args, want, errOut.String())
+			}
+		}
 	}
 }

@@ -47,7 +47,7 @@ func main() {
 	// budget. Every trial records, so any failure is already replayable.
 	metrics := obs.NewMetrics()
 	cfg := explore.Config{
-		Program: explore.Program{Name: "aggregator", Body: program},
+		Program: core.Program{Name: "aggregator", Body: program},
 		Source: &explore.SeedRotation{
 			MasterSeed: 1,
 			Strategies: []demo.Strategy{demo.StrategyRandom, demo.StrategyPCT, demo.StrategyDelay},

@@ -12,38 +12,44 @@ import (
 	"repro/internal/core"
 )
 
-// Program is one litmus test: Body builds and returns the program's main
-// function against a fresh runtime.
-type Program struct {
-	Name string
-	Body func(rt *core.Runtime) func(*core.Thread)
-}
+// Program is core.Program. The alias stays only because the tsanbench
+// benchmark driver spells litmus.Program.
+type Program = core.Program
 
 // Programs lists the suite in the order of Table 1.
-var Programs = []Program{
-	{"barrier", barrier},
-	{"chase-lev-deque", chaseLevDeque},
-	{"dekker-fences", dekkerFences},
-	{"linuxrwlocks", linuxRWLocks},
-	{"mcs-lock", mcsLock},
-	{"mpmc-queue", mpmcQueue},
-	{"ms-queue", msQueue},
+var Programs = []core.Program{
+	{Name: "barrier", Body: barrier},
+	{Name: "chase-lev-deque", Body: chaseLevDeque},
+	{Name: "dekker-fences", Body: dekkerFences},
+	{Name: "linuxrwlocks", Body: linuxRWLocks},
+	{Name: "mcs-lock", Body: mcsLock},
+	{Name: "mpmc-queue", Body: mpmcQueue},
+	{Name: "ms-queue", Body: msQueue},
 }
 
 // ByName returns the named program, searching the Table 1 suite and then
 // the synthetic Extras.
-func ByName(name string) (Program, bool) {
-	for _, p := range Programs {
-		if p.Name == name {
-			return p, true
+func ByName(name string) (core.Program, bool) {
+	for _, list := range [][]core.Program{Programs, Extras} {
+		for _, p := range list {
+			if p.Name == name {
+				return p, true
+			}
 		}
 	}
-	for _, p := range Extras {
-		if p.Name == name {
-			return p, true
+	return core.Program{}, false
+}
+
+// Names lists every name ByName accepts: the Table 1 suite in table
+// order, then Extras.
+func Names() []string {
+	var names []string
+	for _, list := range [][]core.Program{Programs, Extras} {
+		for _, p := range list {
+			names = append(names, p.Name)
 		}
 	}
-	return Program{}, false
+	return names
 }
 
 // Result is one execution's outcome.
@@ -55,7 +61,7 @@ type Result struct {
 
 // RunOnce executes the program under the given options, returning wall
 // time and race count.
-func RunOnce(p Program, opts core.Options) Result {
+func RunOnce(p core.Program, opts core.Options) Result {
 	if opts.MaxTicks == 0 {
 		opts.MaxTicks = 500_000
 	}

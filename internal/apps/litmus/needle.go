@@ -6,8 +6,8 @@ import "repro/internal/core"
 // they exist to exercise the schedule-fuzzing loop (internal/explore), not
 // the paper comparison, so the Table 1 benchmarks and `litmus -all` skip
 // them. ByName resolves them like any other program.
-var Extras = []Program{
-	{"needle", needle},
+var Extras = []core.Program{
+	{Name: "needle", Body: needle},
 }
 
 // Needle geometry, shared with the fuzzing tests. The shallow race fires

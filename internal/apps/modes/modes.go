@@ -45,10 +45,6 @@ func Options(mode string, seed uint64, reportRaces bool) (core.Options, error) {
 		o := rrmodel.Options(s1, s2, true)
 		o.ReportRaces = reportRaces
 		return o, nil
-	case "rnd":
-		return core.Options{Strategy: demo.StrategyRandom, Seed1: s1, Seed2: s2, ReportRaces: reportRaces}, nil
-	case "queue":
-		return core.Options{Strategy: demo.StrategyQueue, Seed1: s1, Seed2: s2, ReportRaces: reportRaces}, nil
 	case "rnd+rec":
 		o := core.RecordOptions(demo.StrategyRandom, s1, s2)
 		o.ReportRaces = reportRaces
@@ -57,11 +53,12 @@ func Options(mode string, seed uint64, reportRaces bool) (core.Options, error) {
 		o := core.RecordOptions(demo.StrategyQueue, s1, s2)
 		o.ReportRaces = reportRaces
 		return o, nil
-	case "pct":
-		return core.Options{Strategy: demo.StrategyPCT, Seed1: s1, Seed2: s2, ReportRaces: reportRaces}, nil
-	case "delay":
-		return core.Options{Strategy: demo.StrategyDelay, Seed1: s1, Seed2: s2, ReportRaces: reportRaces}, nil
 	default:
-		return core.Options{}, fmt.Errorf("modes: unknown mode %q", mode)
+		// The plain strategy modes: rnd, queue, pct, delay.
+		strat, err := demo.ParseStrategy(mode)
+		if err != nil {
+			return core.Options{}, fmt.Errorf("modes: unknown mode %q", mode)
+		}
+		return core.Options{Strategy: strat, Seed1: s1, Seed2: s2, ReportRaces: reportRaces}, nil
 	}
 }

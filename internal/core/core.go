@@ -59,7 +59,7 @@ type Report struct {
 	// Leaked counts threads still live when main returned.
 	Leaked int
 	// SoftDesync reports replay output diverging from the recording while
-	// all hard constraints held (§4). Under tolerant replay modes a
+	// all hard constraints held (§4). Under tolerant replay a
 	// diverged execution is expected to produce different output, so
 	// SoftDesync stays false once Diverged is set.
 	SoftDesync bool
@@ -98,6 +98,16 @@ func (r *Report) Failed() bool {
 	return r.Err != nil || r.SoftDesync || len(r.Races) > 0
 }
 
+// Program is a named program under test, the one program type every tool
+// takes (the litmus suite, exploration, the debugger). Body builds the
+// program's main function against a fresh Runtime; it is called once per
+// run and must be safe to call from concurrent runs, which holds when it
+// closes over nothing but the Runtime.
+type Program struct {
+	Name string
+	Body func(rt *Runtime) func(*Thread)
+}
+
 // Runtime is one instrumented execution context.
 type Runtime struct {
 	opts  Options
@@ -120,11 +130,10 @@ type Runtime struct {
 	cpu cpuToken // rr-model sequentialisation token
 
 	// dbg, when non-nil, is the debugger rendezvous: criticalOp calls its
-	// beforeOp hook at every visible-op classification point. widx, when
-	// non-nil, indexes Var write sites for reverse-continue targets. Both
-	// nil outside debug sessions, costing one pointer check per operation.
-	dbg  *DebugControl
-	widx *tsan.WriteIndex
+	// beforeOp hook at every visible-op classification point, and Var
+	// writes note their sites in its write index. Nil outside debug
+	// sessions, costing one pointer check per operation.
+	dbg *DebugControl
 
 	mu       sync.Mutex
 	handlers map[int32]signalHandler
@@ -185,7 +194,6 @@ func New(opts Options) (*Runtime, error) {
 		mx:       opts.Metrics,
 		obsOn:    opts.Trace != nil || opts.Metrics != nil,
 		dbg:      opts.Debug,
-		widx:     opts.WriteIndex,
 	}
 	if rt.dbg != nil {
 		if err := rt.dbg.bind(rt); err != nil {

@@ -194,8 +194,8 @@ func (x *Var[V]) Read(t *Thread) V {
 // Write stores a value, reporting a race if it conflicts with a concurrent
 // access.
 func (x *Var[V]) Write(t *Thread, v V) {
-	if x.rt.widx != nil {
-		x.rt.widx.Note(x.name, t.id, t.lastTick)
+	if dbg := x.rt.dbg; dbg != nil {
+		dbg.widx.Note(x.name, t.id, t.lastTick)
 	}
 	if x.local {
 		x.rt.det.OnLocalAccess(&x.claim, t.id, x.name)
@@ -212,8 +212,8 @@ func (x *Var[V]) Write(t *Thread, v V) {
 
 // Update applies fn to the value in place (a read and a write).
 func (x *Var[V]) Update(t *Thread, fn func(V) V) {
-	if x.rt.widx != nil {
-		x.rt.widx.Note(x.name, t.id, t.lastTick)
+	if dbg := x.rt.dbg; dbg != nil {
+		dbg.widx.Note(x.name, t.id, t.lastTick)
 	}
 	if x.local {
 		x.rt.det.OnLocalAccess(&x.claim, t.id, x.name)

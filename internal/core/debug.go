@@ -30,6 +30,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/prng"
 	"repro/internal/sched"
+	"repro/internal/tsan"
 )
 
 // PendingOp describes the visible operation a paused replay is about to
@@ -208,17 +209,24 @@ type DebugControl struct {
 	every    uint64
 	cps      []Checkpoint
 	observer func(PendingOp)
+
+	// widx records every Var write site of the run (name, thread, the
+	// thread's last tick): the reverse-continue target map.
+	widx *tsan.WriteIndex
 }
 
 // NewDebugControl returns a DebugControl whose initial predicate never
 // fires (the run executes to completion unless a Resume* method is called
 // first — callers that want to start paused call ResumeTo before Run).
 func NewDebugControl() *DebugControl {
-	dc := &DebugControl{target: ^uint64(0), stepTID: sched.NoTID}
+	dc := &DebugControl{target: ^uint64(0), stepTID: sched.NoTID, widx: tsan.NewWriteIndex()}
 	dc.pauseCond = sync.NewCond(&dc.mu)
 	dc.resumeCond = sync.NewCond(&dc.mu)
 	return dc
 }
+
+// WriteIndex returns the index of the run's Var write sites.
+func (dc *DebugControl) WriteIndex() *tsan.WriteIndex { return dc.widx }
 
 // SetCheckpointEvery enables periodic checkpoints every n ticks (plus one
 // at tick 0 and one at run completion). Must be called before Run.

@@ -8,7 +8,6 @@ import (
 	"repro/internal/demo"
 	"repro/internal/obs"
 	"repro/internal/sched"
-	"repro/internal/tsan"
 )
 
 // debugProgram is a small contended program: two workers increment a
@@ -53,10 +52,8 @@ func TestDebugPauseResumeKill(t *testing.T) {
 	dc := NewDebugControl()
 	dc.SetCheckpointEvery(4)
 	dc.ResumeTo(0) // start paused at tick 0
-	widx := tsan.NewWriteIndex()
 	opts := ReplayOptions(d)
 	opts.Debug = dc
-	opts.WriteIndex = widx
 	rt := newTestRuntime(t, opts)
 	done := make(chan struct{})
 	go func() {
@@ -111,7 +108,7 @@ func TestDebugPauseResumeKill(t *testing.T) {
 			t.Fatalf("checkpoints not strictly increasing: %d then %d", cps[i-1].Tick, cps[i].Tick)
 		}
 	}
-	if sites := widx.Writes("dbg.counter"); len(sites) != 10 {
+	if sites := dc.WriteIndex().Writes("dbg.counter"); len(sites) != 10 {
 		t.Fatalf("write index has %d dbg.counter sites, want 10", len(sites))
 	}
 

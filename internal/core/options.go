@@ -43,13 +43,12 @@ type Options struct {
 	Replay *demo.Demo
 	// ReplayMode selects how strictly the replay is held to the demo
 	// (requires Replay). The zero value is demo.ReplayStrict — the paper's
-	// contract, any mismatch a hard desync. demo.ReplayTolerant enforces
-	// each recorded decision only while feasible and falls back to the live
-	// strategy at the first infeasible one, reporting Report.Diverged
-	// instead of an error. demo.ReplayTolerantRecord additionally
-	// re-records the whole execution (replayed prefix + live suffix) into
-	// Report.Demo as a new strict-replayable demo; Record must be left
-	// false — the recorder is implicit.
+	// contract, any mismatch a hard desync. demo.ReplayTolerantRecord
+	// enforces each recorded decision only while feasible, falls back to
+	// the live strategy at the first infeasible one (reporting
+	// Report.Diverged instead of an error), and re-records the whole
+	// execution into Report.Demo as a new strict-replayable demo; Record
+	// must be left false — the recorder is implicit.
 	ReplayMode demo.ReplayMode
 	// DisableRaces turns the race detector's happens-before analysis off
 	// entirely (the "native-ish" configurations). Detection is on by
@@ -129,10 +128,6 @@ type Options struct {
 	// every visible-op classification point. Debugging requires Replay —
 	// pausing and restarting only make sense over a deterministic demo.
 	Debug *DebugControl
-	// WriteIndex, if non-nil, records every Var write site (name, thread,
-	// thread's last tick) — the reverse-continue target map the debugger
-	// queries. Usable in any controlled mode.
-	WriteIndex *tsan.WriteIndex
 	// Sharing is the static sparsity report produced by
 	// `tsanvet -sharing out.json`. Vars whose every creation site the
 	// threadlocal analyzer proved single-thread-reachable skip the
@@ -238,7 +233,7 @@ func (o Options) Validate() error {
 			return fmt.Errorf("core: ReplayMode %s requires Replay", o.ReplayMode)
 		}
 		if o.Record {
-			return errors.New("core: Record must be left false under tolerant replay modes; ReplayTolerantRecord records implicitly")
+			return errors.New("core: Record must be left false under tolerant replay: ReplayTolerantRecord records implicitly")
 		}
 	}
 	if o.Debug != nil && o.Replay == nil {

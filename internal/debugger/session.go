@@ -31,14 +31,6 @@ import (
 	"repro/internal/tsan"
 )
 
-// Program is the program under test: Body builds the main function
-// against a fresh runtime, the same shape internal/apps/litmus and
-// internal/explore use.
-type Program struct {
-	Name string
-	Body func(rt *core.Runtime) func(*core.Thread)
-}
-
 // Options tunes a Session.
 type Options struct {
 	// CheckpointEvery is the checkpoint interval in ticks (default 64).
@@ -71,7 +63,7 @@ func (e *VerifyError) Error() string {
 // Session is one time-travel debugging session over a demo. Not safe for
 // concurrent use; one controller goroutine drives it.
 type Session struct {
-	prog  Program
+	prog  core.Program
 	d     *demo.Demo
 	opts  Options
 	every uint64
@@ -111,7 +103,7 @@ type liveRun struct {
 // The replay itself terminating abnormally (a desynchronising or
 // deadlocking demo) is not an error: the session opens over the prefix
 // that did replay, with the cause in Info().Err.
-func New(prog Program, d *demo.Demo, opts Options) (*Session, error) {
+func New(prog core.Program, d *demo.Demo, opts Options) (*Session, error) {
 	if opts.CheckpointEvery == 0 {
 		opts.CheckpointEvery = 64
 	}
@@ -121,17 +113,17 @@ func New(prog Program, d *demo.Demo, opts Options) (*Session, error) {
 	if opts.Timeout == 0 {
 		opts.Timeout = 120 * time.Second
 	}
-	s := &Session{prog: prog, d: d, opts: opts, every: opts.CheckpointEvery,
-		widx: tsan.NewWriteIndex()}
+	s := &Session{prog: prog, d: d, opts: opts, every: opts.CheckpointEvery}
 
 	dc := core.NewDebugControl()
+	s.widx = dc.WriteIndex()
 	dc.SetCheckpointEvery(s.every)
 	dc.SetObserver(func(p core.PendingOp) {
 		if n := uint64(len(s.timeline)); p.Tick == n+1 {
 			s.timeline = append(s.timeline, p)
 		}
 	})
-	run, err := s.launch(dc, nil, 0, s.widx)
+	run, err := s.launch(dc, nil, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +147,7 @@ func New(prog Program, d *demo.Demo, opts Options) (*Session, error) {
 // (the run pauses once that many ticks completed); tracing is suppressed
 // until traceFrom (a tracer enabled from the start uses traceFrom 0).
 // Passing a nil tracer runs untraced (the timeline pass).
-func (s *Session) launch(dc *core.DebugControl, tr *obs.Tracer, traceFrom uint64, widx *tsan.WriteIndex) (*liveRun, error) {
+func (s *Session) launch(dc *core.DebugControl, tr *obs.Tracer, traceFrom uint64) (*liveRun, error) {
 	if tr != nil && traceFrom > 0 {
 		// Fast-forward: suppress event capture until the first operation
 		// past traceFrom, so a restarted replay resumes tracing exactly at
@@ -169,7 +161,6 @@ func (s *Session) launch(dc *core.DebugControl, tr *obs.Tracer, traceFrom uint64
 	}
 	opts := core.ReplayOptions(s.d)
 	opts.Debug = dc
-	opts.WriteIndex = widx
 	opts.Trace = tr
 	opts.WallTimeout = s.opts.Timeout
 	rt, err := core.New(opts)
@@ -220,7 +211,7 @@ func (s *Session) restart(target uint64) error {
 	dc := core.NewDebugControl()
 	dc.ResumeTo(cp.Tick)
 	tr := obs.NewTracer(s.opts.TraceRing)
-	run, err := s.launch(dc, tr, cp.Tick, nil)
+	run, err := s.launch(dc, tr, cp.Tick)
 	if err != nil {
 		return err
 	}
@@ -453,7 +444,7 @@ func (s *Session) Trace(from, to uint64) (*TraceResult, error) {
 	dc := core.NewDebugControl()
 	dc.ResumeTo(to)
 	tr := obs.NewTracer(size)
-	run, err := s.launch(dc, tr, from-1, nil)
+	run, err := s.launch(dc, tr, from-1)
 	if err != nil {
 		return nil, err
 	}
@@ -508,7 +499,7 @@ func (s *Session) VerifyCheckpoint(i int) error {
 	cp := s.cps[i]
 	dc := core.NewDebugControl()
 	dc.ResumeTo(cp.Tick)
-	run, err := s.launch(dc, nil, 0, nil)
+	run, err := s.launch(dc, nil, 0)
 	if err != nil {
 		return err
 	}

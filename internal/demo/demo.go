@@ -58,6 +58,22 @@ func (s Strategy) String() string {
 	}
 }
 
+// ParseStrategy resolves a strategy's command-line name: rnd, queue, pct
+// or delay.
+func ParseStrategy(name string) (Strategy, error) {
+	switch name {
+	case "rnd":
+		return StrategyRandom, nil
+	case "queue":
+		return StrategyQueue, nil
+	case "pct":
+		return StrategyPCT, nil
+	case "delay":
+		return StrategyDelay, nil
+	}
+	return 0, fmt.Errorf("unknown strategy %q (want rnd, queue, pct or delay)", name)
+}
+
 // AsyncKind identifies an asynchronous event type (§4.5).
 type AsyncKind uint8
 

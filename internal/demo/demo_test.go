@@ -96,6 +96,27 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+func TestParseStrategy(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Strategy
+		ok   bool
+	}{
+		{"rnd", StrategyRandom, true},
+		{"queue", StrategyQueue, true},
+		{"pct", StrategyPCT, true},
+		{"delay", StrategyDelay, true},
+		{"random", 0, false}, // String() spelling, not a command-line name
+		{"", 0, false},
+		{"bogus", 0, false},
+	} {
+		got, err := ParseStrategy(tc.name)
+		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v, ok=%v", tc.name, got, err, tc.want, tc.ok)
+		}
+	}
+}
+
 func TestZigzag(t *testing.T) {
 	for _, v := range []int64{0, 1, -1, 42, -42, 1 << 62, -(1 << 62)} {
 		if unzigzag(zigzag(v)) != v {
@@ -221,7 +242,7 @@ func TestTolerantSyscallDivergence(t *testing.T) {
 		Syscalls: []SyscallRecord{{TID: 0, Kind: 3, Ret: 1}},
 		Signals:  []SignalEvent{{TID: 0, Tick: 5, Sig: 15}},
 	}
-	rep, err := NewReplayer(d, ReplayTolerant)
+	rep, err := NewReplayer(d, ReplayTolerantRecord)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +256,7 @@ func TestTolerantSyscallDivergence(t *testing.T) {
 		t.Fatalf("diverged replay still delivered signals: %v", sigs)
 	}
 	oc := rep.Outcome(9)
-	if oc.Err != nil || oc.Diverged == nil || oc.Mode != ReplayTolerant {
+	if oc.Err != nil || oc.Diverged == nil || oc.Mode != ReplayTolerantRecord {
 		t.Fatalf("tolerant outcome: %+v", oc)
 	}
 	// A strict replayer over the same streams reports leftovers as Err and

@@ -1,7 +1,7 @@
 // Demo mutation: the NodeFz-style search move that turns recorded demos
 // into new trial candidates. Each operator takes a Validate-clean demo and
 // produces a Validate-clean neighbour — a candidate schedule that a
-// tolerant replay (ReplayTolerant*) then tests for feasibility. Operators
+// tolerant replay (ReplayTolerantRecord) then tests for feasibility. Operators
 // never repair a candidate into plausibility: if the demo offers nothing
 // for the operator to act on (no signals to drop, one thread's schedule to
 // swap), the operator rejects with ErrNotApplicable and the caller tries

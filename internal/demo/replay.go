@@ -17,16 +17,14 @@ const (
 	// (*DesyncError). The zero value, so existing call sites keep strict
 	// semantics.
 	ReplayStrict ReplayMode = iota
-	// ReplayTolerant enforces each recorded decision only while it is
-	// feasible (the demanded thread runnable, the demanded syscall issued).
-	// The first infeasible constraint marks the replay diverged: the
-	// remaining streams are abandoned and the live strategy takes over,
-	// surfacing a Diverged outcome instead of a DesyncError.
-	ReplayTolerant
-	// ReplayTolerantRecord is ReplayTolerant with the divergent execution
-	// re-recorded: the caller runs a Recorder alongside the Replayer from
-	// tick 1, so the resulting demo captures the replayed prefix and the
-	// live suffix as one strict-replayable recording.
+	// ReplayTolerantRecord enforces each recorded decision only while it
+	// is feasible (the demanded thread runnable, the demanded syscall
+	// issued). The first infeasible constraint marks the replay diverged:
+	// the remaining streams are abandoned and the live strategy takes
+	// over, surfacing a Diverged outcome instead of a DesyncError. The
+	// caller runs a Recorder alongside the Replayer from tick 1, so the
+	// resulting demo captures the replayed prefix and the live suffix as
+	// one strict-replayable recording.
 	ReplayTolerantRecord
 )
 
@@ -34,8 +32,6 @@ func (m ReplayMode) String() string {
 	switch m {
 	case ReplayStrict:
 		return "strict"
-	case ReplayTolerant:
-		return "tolerant"
 	case ReplayTolerantRecord:
 		return "tolerant-record"
 	default:

@@ -10,14 +10,15 @@
 // replay mode, and WeightedSource interleaves sources deterministically.
 // The engine feeds every finished trial's outcome back to the source in
 // strict trial-index order, with spec generation running at most
-// Config.FeedbackLag trials ahead of feedback delivery — so the sequence
+// feedbackLag trials ahead of feedback delivery — so the sequence
 // of Next/Feedback calls the source observes, and hence the whole sweep,
 // is a pure function of (program, config), independent of worker count
 // and completion order. Each trial owns its own core.Runtime and
 // env.World; trials share nothing but the read-only program body and the
 // observability instruments.
 //
-// from plain goroutines; nothing here executes between Wait and Tick.
+// The engine runs whole Runtimes from plain goroutines; nothing here
+// executes between Wait and Tick.
 //
 //tsanrec:external exploration harness: runs whole Runtimes to completion
 package explore
@@ -35,25 +36,27 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/demo"
-	"repro/internal/env"
 	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
-// Program is the unit under exploration: a named body in the shape the
-// litmus suite and the examples already use. Body is called once per
-// trial with that trial's private Runtime and must be safe to invoke
-// concurrently from multiple trials (litmus bodies are: they close over
-// nothing but the Runtime).
-type Program struct {
-	Name string
-	Body func(rt *core.Runtime) func(*core.Thread)
-}
+// Program is core.Program. The alias stays only because the tsanbench
+// benchmark driver spells explore.Program.
+type Program = core.Program
+
+// feedbackLag bounds how far spec generation runs ahead of in-order
+// feedback delivery; it is therefore also the in-flight trial cap, so more
+// than feedbackLag workers sit idle. It is part of every sweep's
+// deterministic identity: a different lag would give the source a
+// different Next/Feedback interleaving, but for a fixed lag the
+// interleaving never depends on worker count or completion order.
+const feedbackLag = 8
 
 // Config parameterises one exploration sweep.
 type Config struct {
-	// Program is the program under test. Required.
-	Program Program
+	// Program is the program under test. Required; Body is called once
+	// per trial with that trial's private Runtime.
+	Program core.Program
 	// Source supplies the trials. Required; most sweeps use a
 	// *SeedRotation, optionally composed with a *MutationQueue via
 	// NewWeightedSource.
@@ -63,19 +66,11 @@ type Config struct {
 	Trials int
 	// Workers bounds the pool (default GOMAXPROCS, capped at 8).
 	Workers int
-	// FeedbackLag bounds how far spec generation runs ahead of in-order
-	// feedback delivery (default 8) — it is therefore also the in-flight
-	// trial cap, so more than FeedbackLag workers sit idle. It is part of
-	// the sweep's deterministic identity: a different lag gives the source
-	// a different Next/Feedback interleaving, but for a fixed lag the
-	// interleaving never depends on worker count or completion order.
-	FeedbackLag int
-	// MaxTicks, TrialTimeout and RescheduleQuantum are forwarded to every
-	// trial's core.Options (zero keeps the core defaults; negative
+	// MaxTicks and RescheduleQuantum are forwarded to every trial's
+	// core.Options (zero keeps the core defaults; negative
 	// RescheduleQuantum disables forced rescheduling, which also makes
 	// random/PCT/delay trials fully seed-deterministic).
 	MaxTicks          uint64
-	TrialTimeout      time.Duration
 	RescheduleQuantum time.Duration
 	// WallBudget stops dispatching new trials once this much real time has
 	// elapsed (zero = no wall budget; the trial budget is the only limit).
@@ -92,9 +87,6 @@ type Config struct {
 	// Failure.DemoPath. Mutated trials record in memory only (their
 	// recorder is the tolerant replayer's). The directory must exist.
 	RecordDir string
-	// World, if non-nil, supplies a fresh virtual environment per trial;
-	// nil lets core derive one from the trial seeds.
-	World func() *env.World
 	// Trace and Metrics are attached to every trial's runtime and to the
 	// engine's own counters. Nil disables either, as everywhere in obs.
 	Trace   *obs.Tracer
@@ -230,9 +222,6 @@ func Run(cfg Config) (*Result, error) {
 			cfg.Workers = 8
 		}
 	}
-	if cfg.FeedbackLag <= 0 {
-		cfg.FeedbackLag = 8
-	}
 	if cfg.MinimizeBudget <= 0 {
 		cfg.MinimizeBudget = 48
 	}
@@ -267,7 +256,7 @@ func Run(cfg Config) (*Result, error) {
 
 	// The engine invariants that make the sweep deterministic:
 	//   - specs are generated (Source.Next) only while
-	//     generated-delivered < FeedbackLag, so generation never outruns
+	//     generated-delivered < feedbackLag, so generation never outruns
 	//     feedback by more than the lag;
 	//   - feedback (Source.Feedback) is delivered strictly in trial-index
 	//     order, out-of-order completions parking in buf;
@@ -284,7 +273,7 @@ func Run(cfg Config) (*Result, error) {
 		expired   bool
 	)
 	fill := func() {
-		for !expired && generated < cfg.Trials && generated-delivered < cfg.FeedbackLag {
+		for !expired && generated < cfg.Trials && generated-delivered < feedbackLag {
 			spec, ok := cfg.Source.Next()
 			if !ok {
 				// The source declined; it may recover after more feedback,
@@ -429,13 +418,9 @@ type trialFailure struct {
 // by the recording trials and the minimizer's replays.
 func trialOptions(cfg *Config, base core.Options) core.Options {
 	base.MaxTicks = cfg.MaxTicks
-	base.WallTimeout = cfg.TrialTimeout
 	base.RescheduleQuantum = cfg.RescheduleQuantum
 	base.Trace = cfg.Trace
 	base.Metrics = cfg.Metrics
-	if cfg.World != nil {
-		base.World = cfg.World()
-	}
 	return base
 }
 

@@ -9,19 +9,20 @@ import (
 	"time"
 
 	"repro/internal/apps/litmus"
+	"repro/internal/core"
 	"repro/internal/demo"
 	"repro/internal/obs"
 )
 
 // testProgram adapts a litmus program; ms-queue races under essentially
 // every schedule, so small trial budgets still exercise the failure path.
-func testProgram(t *testing.T, name string) Program {
+func testProgram(t *testing.T, name string) core.Program {
 	t.Helper()
 	p, ok := litmus.ByName(name)
 	if !ok {
 		t.Fatalf("litmus program %q missing", name)
 	}
-	return Program{Name: p.Name, Body: p.Body}
+	return p
 }
 
 // detRotation returns the standard deterministic trial source: the

@@ -47,7 +47,7 @@ type Feedback struct {
 
 // TrialSource supplies trial specs and receives per-trial feedback. The
 // engine serialises all calls and fixes their interleaving (see
-// Config.FeedbackLag), so implementations need no locking and determinism
+// feedbackLag), so implementations need no locking and determinism
 // follows from deterministic Next/Feedback logic.
 type TrialSource interface {
 	// Next returns the next trial spec, or ok=false when the source has

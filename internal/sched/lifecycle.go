@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"strconv"
 )
 
 // Thread lifecycle operations (§3.2, "Thread management"). All three are
@@ -23,7 +24,10 @@ func (s *Scheduler) ThreadNew(parent TID, name string) TID {
 	}
 	id := TID(len(s.threads))
 	if name == "" {
-		name = fmt.Sprintf("thread-%d", id)
+		// Not fmt.Sprintf: its printer pool drops entries at random under
+		// the race detector, which made this path's allocation count vary
+		// run to run.
+		name = "thread-" + strconv.Itoa(int(id))
 	}
 	// The park gate is NOT allocated here: it appears on the thread's first
 	// arrival at Wait, so creating a large thread table costs one struct per

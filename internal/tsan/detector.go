@@ -57,6 +57,9 @@ func (o MemoryOrder) String() string {
 func (o MemoryOrder) acquires() bool { return o == Acquire || o == AcqRel || o == SeqCst }
 func (o MemoryOrder) releases() bool { return o == Release || o == AcqRel || o == SeqCst }
 
+// maxReports bounds the number of race reports a Detector retains.
+const maxReports = 128
+
 // Options configures a Detector.
 type Options struct {
 	// HistoryDepth bounds each atomic location's store history; older
@@ -68,8 +71,6 @@ type Options struct {
 	// "tsan" semantics the paper contrasts with tsan11 and is used by the
 	// ablation benchmarks.
 	SequentialConsistency bool
-	// MaxReports bounds the number of race reports retained. Default 128.
-	MaxReports int
 	// Sharing is the static sparsity report from `tsanvet -sharing`;
 	// variables every creation site of which it proves thread-local take
 	// the O(1) no-shadow fast path (OnLocalAccess). Nil disables the fast
@@ -127,9 +128,6 @@ func (d *Detector) SetTrace(tr *obs.Tracer) { d.tr = tr }
 func New(rng *prng.Source, opts Options) *Detector {
 	if opts.HistoryDepth <= 0 {
 		opts.HistoryDepth = 8
-	}
-	if opts.MaxReports <= 0 {
-		opts.MaxReports = 128
 	}
 	d := &Detector{
 		opts:    opts,

@@ -54,9 +54,6 @@ func newRefDetector(rng *prng.Source, opts Options) *refDetector {
 	if opts.HistoryDepth <= 0 {
 		opts.HistoryDepth = 8
 	}
-	if opts.MaxReports <= 0 {
-		opts.MaxReports = 128
-	}
 	d := &refDetector{opts: opts, rng: rng, scClock: &vclock.Clock{}, seen: make(map[reportKey]bool)}
 	d.registerThread(0)
 	return d
@@ -77,7 +74,7 @@ func (d *refDetector) report(loc string, a, b Access) {
 		return
 	}
 	d.seen[key] = true
-	if len(d.reports) < d.opts.MaxReports {
+	if len(d.reports) < 128 { // the detector's report cap
 		d.reports = append(d.reports, Report{Location: loc, First: a, Second: b})
 	}
 }

@@ -44,7 +44,7 @@ func (d *Detector) report(loc string, a, b Access) {
 		return
 	}
 	d.seen[key] = true
-	if len(d.reports) < d.opts.MaxReports {
+	if len(d.reports) < maxReports {
 		d.reports = append(d.reports, Report{Location: loc, First: a, Second: b})
 		if d.tr.Enabled() {
 			d.tr.Emit(obs.Event{TID: int32(b.TID), Kind: obs.KindRace,
